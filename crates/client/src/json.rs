@@ -126,7 +126,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{item}")?;
+                    item.fmt(f)?;
                 }
                 f.write_str("]")
             }
@@ -138,7 +138,7 @@ impl fmt::Display for Json {
                     }
                     write_escaped(f, k)?;
                     f.write_str(":")?;
-                    write!(f, "{v}")?;
+                    v.fmt(f)?;
                 }
                 f.write_str("}")
             }
@@ -146,19 +146,28 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes `s` as a JSON string literal. Every byte that needs an escape
+/// is ASCII, so the text between two of them is a `str` slice written in
+/// one call.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        f.write_str(&s[run..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            b => write!(f, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -240,67 +249,64 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| "non-UTF8 number".to_string())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("malformed number at offset {start}"))
+        // An overflowing literal such as `1e400` parses to infinity, which
+        // the encoder could not write back as JSON.
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(_) => Err(format!("number out of range at offset {start}")),
+            Err(_) => Err(format!("malformed number at offset {start}")),
+        }
     }
 
+    /// Reads a string literal in one pass: each run of bytes up to the
+    /// next `"` or `\` is validated and copied in one step, so a string
+    /// without escapes costs one allocation.
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xd800..0xdc00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    let combined =
-                                        0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(c.ok_or("invalid \\u escape")?);
-                            continue; // hex4 advanced pos past the digits
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid; find the char at this offset).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-UTF8 string".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            let rest = &self.bytes[self.pos..];
+            let len =
+                rest.iter().position(|&b| b == b'"' || b == b'\\').ok_or("unterminated string")?;
+            out.push_str(
+                std::str::from_utf8(&rest[..len]).map_err(|_| "non-UTF8 string".to_string())?,
+            );
+            self.pos += len + 1;
+            if rest[len] == b'"' {
+                return Ok(out);
             }
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => {
+                    self.pos += 1;
+                    let cp = self.hex4()?;
+                    // A high surrogate must be followed by an escaped low
+                    // surrogate; `char::from_u32` refuses a lone half.
+                    let c = match cp {
+                        0xd800..=0xdbff if self.bytes[self.pos..].starts_with(b"\\u") => {
+                            self.pos += 2;
+                            match self.hex4()? {
+                                low @ 0xdc00..=0xdfff => {
+                                    char::from_u32(0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00))
+                                }
+                                _ => None,
+                            }
+                        }
+                        _ => char::from_u32(cp),
+                    };
+                    out.push(c.ok_or("invalid \\u escape")?);
+                    continue; // hex4 advanced pos past the digits
+                }
+                _ => return Err(format!("bad escape at offset {}", self.pos)),
+            }
+            self.pos += 1;
         }
     }
 
@@ -404,6 +410,22 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "{\"a\":1} x", "\"unterminated"] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_lone_halves_are_rejected() {
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), Json::str("😀"));
+        for bad in [r#""\ud800\uffff""#, r#""\ud800\u0041""#, r#""\udc00""#, r#""\ud800x""#] {
+            assert_eq!(parse(bad), Err("invalid \\u escape".to_string()), "{bad}");
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_numbers() {
+        for bad in ["1e400", "-1e400", "[0, 1E999]"] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+        assert_eq!(parse("1e308").unwrap(), Json::Num(1e308));
     }
 
     #[test]

@@ -73,10 +73,14 @@ pub fn write_frame(w: &mut impl Write, value: &Json) -> io::Result<()> {
 /// Writes one already-encoded frame payload with its length header.
 /// Callers that need the encoded size first (e.g. a server enforcing its
 /// own frame limit on *writes*) encode once, inspect, then call this.
+///
+/// Header and payload go out in one `write_all`: on an unbuffered
+/// `TCP_NODELAY` socket two writes would cost two segments.
 pub fn write_payload(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let header = (payload.len() as u32).to_be_bytes();
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -500,39 +504,33 @@ pub enum Response {
     Error(WireError),
 }
 
-impl Response {
-    /// Encodes the response as a frame value.
-    pub fn to_json(&self) -> Json {
-        match self {
-            Response::Pong => {
-                Json::obj(vec![("ok", Json::Bool(true)), ("op", Json::str("pong"))])
-            }
-            Response::ProfileRegistered { user, user_id, version, preferences } => {
-                Json::obj(vec![
-                    ("ok", Json::Bool(true)),
-                    ("op", Json::str("profile_registered")),
-                    ("user", Json::str(user.clone())),
-                    ("user_id", Json::num(*user_id as f64)),
-                    ("version", Json::num(*version as f64)),
-                    ("preferences", Json::num(*preferences as f64)),
-                ])
-            }
+impl From<Response> for Json {
+    /// Encodes the response as a frame value, moving its strings and
+    /// answer rows into the tree instead of copying them.
+    fn from(response: Response) -> Json {
+        match response {
+            Response::Pong => Json::obj(vec![("ok", Json::Bool(true)), ("op", Json::str("pong"))]),
+            Response::ProfileRegistered { user, user_id, version, preferences } => Json::obj(vec![
+                ("ok", Json::Bool(true)),
+                ("op", Json::str("profile_registered")),
+                ("user", Json::Str(user)),
+                ("user_id", Json::num(user_id as f64)),
+                ("version", Json::num(version as f64)),
+                ("preferences", Json::num(preferences as f64)),
+            ]),
             Response::Answer(a) => Json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("op", Json::str("answer")),
-                (
-                    "columns",
-                    Json::Arr(a.columns.iter().map(|c| Json::str(c.clone())).collect()),
-                ),
+                ("columns", Json::Arr(a.columns.into_iter().map(Json::Str).collect())),
                 (
                     "tuples",
                     Json::Arr(
                         a.tuples
-                            .iter()
+                            .into_iter()
                             .map(|t| {
                                 Json::obj(vec![
                                     ("doi", Json::num(t.doi)),
-                                    ("row", Json::Arr(t.row.clone())),
+                                    ("row", Json::Arr(t.row)),
                                 ])
                             })
                             .collect(),
@@ -554,22 +552,30 @@ impl Response {
             } => Json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("op", Json::str("delta_applied")),
-                ("old_version", Json::num(*old_version as f64)),
-                ("new_version", Json::num(*new_version as f64)),
-                ("rows_inserted", Json::num(*rows_inserted as f64)),
-                ("rows_deleted", Json::num(*rows_deleted as f64)),
-                ("patched", Json::num(*patched as f64)),
-                ("carried", Json::num(*carried as f64)),
-                ("rematerialized", Json::num(*rematerialized as f64)),
-                ("dropped", Json::num(*dropped as f64)),
+                ("old_version", Json::num(old_version as f64)),
+                ("new_version", Json::num(new_version as f64)),
+                ("rows_inserted", Json::num(rows_inserted as f64)),
+                ("rows_deleted", Json::num(rows_deleted as f64)),
+                ("patched", Json::num(patched as f64)),
+                ("carried", Json::num(carried as f64)),
+                ("rematerialized", Json::num(rematerialized as f64)),
+                ("dropped", Json::num(dropped as f64)),
             ]),
             Response::Stats(metrics) => Json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("op", Json::str("stats")),
-                ("metrics", Json::Obj(metrics.clone())),
+                ("metrics", Json::Obj(metrics)),
             ]),
             Response::Error(e) => e.to_json(),
         }
+    }
+}
+
+impl Response {
+    /// Encodes the response as a frame value. Senders that own the
+    /// response convert it with `Json::from` and skip the copy.
+    pub fn to_json(&self) -> Json {
+        self.clone().into()
     }
 
     /// Decodes a response frame; `Err` means the peer broke protocol.

@@ -486,7 +486,7 @@ fn connection_loop(
                     message: format!("frame of {declared} bytes exceeds the {limit}-byte limit"),
                     retryable: false,
                 };
-                write_response(shared, writer, &Response::Error(error)).ok();
+                write_response(shared, writer, Response::Error(error)).ok();
                 return ConnExit::Poisoned;
             }
             Err(FrameError::Io(e)) if is_timeout(&e) => return ConnExit::IdleTimeout,
@@ -502,7 +502,7 @@ fn connection_loop(
                     message: m,
                     retryable: false,
                 };
-                write_response(shared, writer, &Response::Error(error)).ok();
+                write_response(shared, writer, Response::Error(error)).ok();
                 return ConnExit::Poisoned;
             }
             Err(FrameError::Io(e)) if is_timeout(&e) => return ConnExit::IdleTimeout,
@@ -516,7 +516,7 @@ fn connection_loop(
                 message: "server is draining".to_string(),
                 retryable: true,
             };
-            write_response(shared, writer, &Response::Error(error)).ok();
+            write_response(shared, writer, Response::Error(error)).ok();
             return ConnExit::ShuttingDown;
         }
 
@@ -534,7 +534,7 @@ fn connection_loop(
                     ),
                     retryable: true,
                 };
-                match write_response(shared, writer, &Response::Error(error)) {
+                match write_response(shared, writer, Response::Error(error)) {
                     Ok(()) => continue,
                     Err(exit) => return exit,
                 }
@@ -548,7 +548,7 @@ fn connection_loop(
                 shared.count("server.requests.bad");
                 let error =
                     WireError { code: ErrorCode::BadRequest, message: m, retryable: false };
-                match write_response(shared, writer, &Response::Error(error)) {
+                match write_response(shared, writer, Response::Error(error)) {
                     Ok(()) => continue,
                     Err(exit) => return exit,
                 }
@@ -586,7 +586,7 @@ fn connection_loop(
             }
         };
 
-        let written = write_response(shared, writer, &response);
+        let written = write_response(shared, writer, response);
         shared.in_flight.fetch_sub(1, Ordering::AcqRel);
         drop(permit);
         if let Err(exit) = written {
@@ -613,16 +613,19 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// broad query can carry tens of thousands of ranked tuples) is replaced
 /// with a typed `answer_too_large` error rather than sent as a frame the
 /// peer is entitled to refuse. The connection stays usable.
+///
+/// The response is taken by value so its answer rows move into the
+/// encoded tree rather than being copied.
 fn write_response(
     shared: &Shared,
     writer: &mut TcpStream,
-    response: &Response,
+    response: Response,
 ) -> Result<(), ConnExit> {
     if failpoint::check("net.write").is_err() {
         shared.count("server.chaos.write_aborted");
         return Err(ConnExit::ChaosAbort);
     }
-    let mut payload = response.to_json().to_string();
+    let mut payload = Json::from(response).to_string();
     if payload.len() > shared.config.max_frame {
         shared.count("server.responses.too_large");
         let error = WireError {
@@ -635,7 +638,7 @@ fn write_response(
             ),
             retryable: false,
         };
-        payload = Response::Error(error).to_json().to_string();
+        payload = Json::from(Response::Error(error)).to_string();
     }
     if failpoint::check("net.write.short").is_err() {
         shared.count("server.chaos.torn_writes");
@@ -858,7 +861,7 @@ fn dispatch(
                         .counter("server.retries")
                         .add(u64::from(outcome.resilience.retries));
                     Response::Answer(Answer {
-                        columns: outcome.report.answer.columns.clone(),
+                        columns: outcome.report.answer.columns,
                         tuples: outcome
                             .report
                             .answer

@@ -98,6 +98,23 @@ cargo build --release -p qp-bench --features failpoints
 repro_fp_bin="$PWD/target/release/repro"
 serving_tmp="$(mktemp -d)"
 (cd "$serving_tmp" && "$repro_fp_bin" --bench-serving --scale small --runs 1 --users 30 >/dev/null)
+
+# Serving scaling tripwire: the same leg at medium scale (20x the
+# movies), then the steady-leg p50 ratio medium/small. The linear wire
+# codec measured 22x on a 2-CPU host; a stage that grows superlinearly
+# with data (the quadratic JSON decoder made it 212x) shows as a ratio
+# above twice that. Advisory only, like the vectorized check.
+echo "==> bench-serving scaling check (small -> medium)"
+mkdir "$serving_tmp/medium"
+(cd "$serving_tmp/medium" && "$repro_fp_bin" --bench-serving --scale medium --runs 1 --users 30 >/dev/null)
+awk -F'"p50_us": ' '
+  FNR == 1 { f++ }
+  /"steady":/ { split($2, a, /[,}]/); p50[f] = a[1] + 0 }
+  END {
+    ratio = p50[2] / p50[1]
+    if (ratio > 44) printf "WARNING: serving p50 grows %.0fx from small to medium scale (measured 22x)\n", ratio
+    else printf "serving p50 grows %.0fx from small to medium scale\n", ratio
+  }' "$serving_tmp/BENCH_serving.json" "$serving_tmp/medium/BENCH_serving.json"
 rm -rf "$serving_tmp"
 
 # Profile-store leg: the store-backed serving tests (cache identity,

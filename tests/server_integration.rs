@@ -386,6 +386,36 @@ fn rejected_deltas_are_typed_and_change_nothing() {
 }
 
 #[test]
+fn non_finite_number_is_a_bad_frame_and_publishes_nothing() {
+    let mut ts = TestServer::spawn();
+    let mut client = ts.client();
+    let dsl = als_profile_dsl(&ts.store().snapshot());
+    let reg = client.register_profile("al", &dsl).expect("register");
+    let version_before = ts.store().snapshot().version();
+
+    // `1e400` overflows f64. Were it stored, every answer projecting
+    // THEATRE.ticket would encode as `inf`, which no client can decode.
+    let frame = r#"{"op":"publish_delta","changes":[{"relation":"THEATRE","inserts":[[900000,"Overflow","555-0100","downtown",1e400]]}]}"#;
+    let mut raw = ts.raw_stream();
+    raw.write_all(&(frame.len() as u32).to_be_bytes()).expect("header");
+    raw.write_all(frame.as_bytes()).expect("payload");
+    match read_response(&mut raw) {
+        Response::Error(e) => assert_eq!(e.code, ErrorCode::BadFrame),
+        other => panic!("expected bad_frame, got {other:?}"),
+    }
+    assert_stream_closed(&mut raw);
+    assert_eq!(ts.store().snapshot().version(), version_before, "no epoch was published");
+    assert_eq!(ts.counter("maint.deltas"), 0);
+
+    let answer = client
+        .personalize(reg.call("select name, ticket from THEATRE").k(4).l(1))
+        .expect("ticket answers still decode");
+    assert!(!answer.tuples.is_empty());
+    assert!(answer.tuples.iter().all(|t| t.row[1].as_f64().is_some_and(f64::is_finite)));
+    ts.shutdown();
+}
+
+#[test]
 fn graceful_shutdown_drains_in_flight_requests() {
     let mut ts = TestServer::spawn();
     let addr = ts.addr();
