@@ -1951,12 +1951,13 @@ fn bench_maintenance(scale: Scale, runs: usize, write_rate: f64) {
         // positive_profile draws its conditions from the categorical
         // pools (GENRE/DIRECTOR/ACTOR/THEATRE), so every one of those
         // materializations is a join. On top of that background mix, add
-        // high-doi preferences chosen so the selected set exercises all
-        // three maintenance outcomes: MOVIE range preferences patch in
-        // place, GENRE joins rematerialize (new-movie publishes touch
-        // GENRE), and ACTOR preferences — whose materializations scan
-        // the CAST join, the expensive parameterized queries a serving
-        // fleet actually pays — carry across GENRE-only publishes.
+        // high-doi preferences chosen so the selected set exercises the
+        // maintenance outcomes: MOVIE range preferences and GENRE joins
+        // are patched from the delta (new-movie publishes touch MOVIE
+        // and GENRE), and ACTOR preferences — whose materializations
+        // scan the CAST join, the expensive parameterized queries a
+        // serving fleet actually pays — carry across GENRE-only
+        // publishes.
         let mut profile = positive_profile(&store.snapshot(), 20, 7);
         {
             let snap = store.snapshot();

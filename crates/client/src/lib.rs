@@ -223,11 +223,14 @@ pub struct DeltaReceipt {
     pub rows_inserted: u64,
     /// Rows deleted across all relations.
     pub rows_deleted: u64,
-    /// Materialized preference results patched incrementally.
+    /// Materialized preference results, joins included, brought to the
+    /// new epoch by evaluating them against the delta's rows only.
     pub patched: u64,
     /// Materializations carried unchanged to the new epoch.
     pub carried: u64,
-    /// Materializations recomputed from scratch.
+    /// Materializations recomputed from scratch: shapes the delta path
+    /// does not cover (a `NOT IN` sub-query) and failed delta
+    /// evaluations.
     pub rematerialized: u64,
     /// Materializations dropped (stale or failed maintenance).
     pub dropped: u64,

@@ -486,13 +486,15 @@ pub enum Response {
         rows_inserted: u64,
         /// Rows deleted across all relations.
         rows_deleted: u64,
-        /// Materializations patched in place from the delta's rows.
+        /// Materializations, joins included, patched from the delta's
+        /// rows.
         patched: u64,
         /// Materializations carried unchanged (delta missed their
         /// relations).
         carried: u64,
-        /// Materializations recomputed from scratch (multi-relation
-        /// shapes the patcher cannot maintain).
+        /// Materializations recomputed from scratch (shapes the delta
+        /// path does not cover, such as a `NOT IN` sub-query, or a
+        /// failed delta evaluation).
         rematerialized: u64,
         /// Materializations dropped (stale epoch or maintenance error).
         dropped: u64,

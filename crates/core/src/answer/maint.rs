@@ -18,23 +18,60 @@
 //!   queries.
 //! * [`Maintainer`] — the write path. [`Maintainer::publish`] applies a
 //!   typed [`DbDelta`] through [`SnapshotStore::publish_delta`] and then
-//!   re-keys the registry to the new epoch: entries whose relations the
-//!   delta did not touch are **carried** (same `Arc`, new version key);
-//!   single-relation entries are **patched** by re-evaluating the
-//!   preference predicate against just the inserted row ids and
-//!   filtering the deleted ones; everything else is **rematerialized**
-//!   in full (and **dropped** on execution failure — the next run
-//!   rebuilds it).
+//!   re-keys the registry to the new epoch. Each entry has one of three
+//!   outcomes:
+//!   - **carried** — the delta touched none of its relations: same
+//!     `Arc`, new version key;
+//!   - **patched** — a select-project-join entry (the gate below) is
+//!     brought to the new epoch from the delta's rows alone (the delta
+//!     path below);
+//!   - **rematerialized** — every other touched entry (a `NOT IN`
+//!     sub-query, a derived table, grouping, a varying degree over a
+//!     join), and any entry whose delta evaluation failed, is re-executed
+//!     in full. If that fails too the entry is **dropped**, and the next
+//!     PPA run rebuilds it.
 //!
-//! **Byte identity.** A patched result must be indistinguishable from a
-//! recompute against the new epoch. Three invariants make that hold:
-//! row ids are never reused (`Table` tombstones slots, so a
-//! delete-then-reinsert lands in a fresh slot with a fresh id), result
-//! rows are kept in canonical ascending-tuple-id order (inserted ids
-//! sort after every surviving id, so filter + append preserves the
-//! canon), and a patchable entry's predicate and degree read only the
-//! tuple's own relation (single-relation gate below), so surviving rows
-//! keep their degrees verbatim.
+//! **The delta path.** For each FROM binding whose relation the delta
+//! touched:
+//!
+//! * *inserted rows* — evaluate the select on the new epoch with that
+//!   binding restricted to the inserted row ids: the tuples **gained**;
+//! * *deleted rows of the tid binding* — those tuples are **dropped**;
+//! * *deleted rows of any other binding* — evaluate the select on the
+//!   pre-delta epoch with that binding restricted to the deleted row
+//!   ids: the **candidates**, tuples that lost a derivation. They are
+//!   **re-checked** on the new epoch with the tid binding restricted to
+//!   them.
+//!
+//! The new result is the old one minus dropped tuples and candidates,
+//! plus gained and re-checked tuples. A restriction is the
+//! `binding.rowid = 0` placeholder rebound to a row-id set, as PPA's
+//! emission bursts use it; when the plan reaches the binding through an
+//! index join, where the placeholder is a plain filter, it is an id list.
+//!
+//! **The gate.** An entry takes the delta path when its select has no
+//! sub-query, derived table or grouping, fetches no rows by id itself,
+//! and its degree is a constant — or it has a single binding, the tid
+//! binding, whose degree reads only the tuple's own row.
+//!
+//! **Byte identity.** A patched result equals a recompute against the
+//! new epoch. A tuple qualifies iff it has a *derivation*: one live row
+//! per binding, together satisfying the WHERE clause.
+//!
+//! * A derivation on the new epoch that uses an inserted row is found by
+//!   that binding's insert evaluation. One that uses only surviving rows
+//!   existed before the delta, so the tuple was in the old result, and
+//!   if it was removed as a candidate its re-check finds it again.
+//! * An old tuple that is neither dropped nor a candidate lost no
+//!   derivation: every derivation through a deleted row is found by the
+//!   pre-delta evaluation of that row's binding. So it still qualifies.
+//! * Degrees never change. With a constant degree every derivation
+//!   yields the same value; with a single binding a tuple's one
+//!   derivation is its own row, and rows are immutable.
+//! * Result rows are kept in canonical ascending-tuple-id order, and row
+//!   ids are never reused (`Table` tombstones slots, so a delete-then-
+//!   reinsert lands in a fresh slot with a fresh id): a tuple id names
+//!   the same row in every epoch that has it.
 //!
 //! **What is never cached.** Selects referencing the per-profile elastic
 //! UDF closures (`qp_elastic*` — re-registered with different semantics
@@ -56,12 +93,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use qp_exec::{Engine, ExecError, ExecStats, QueryGuard};
 use qp_obs::MetricsRegistry;
-use qp_sql::{builder, Expr, Query, Select, SelectItem, TableRef};
+use qp_sql::{builder, BinaryOp, Expr, Query, Select, SelectItem, TableRef};
 use qp_storage::{
     AppliedDelta, Catalog, Database, DbDelta, RelId, RowId, SnapshotStore, StorageError,
 };
 
-use crate::answer::ppa::{materialize_pref, PrefResult, TidBuild, TidMap};
+use crate::answer::ppa::{materialize_pref, PrefResult};
 use crate::answer::subquery::merge_filter;
 use crate::store::ProfileStore;
 
@@ -108,21 +145,24 @@ struct MatEntry {
     tid_rel: RelId,
     /// The binding that relation carries inside the select.
     tid_binding: String,
-    /// Whether the entry qualifies for the in-place patch path (see
-    /// [`SelectShape`]'s gate in [`MatRegistry::register`]).
-    patchable: bool,
+    /// The select's FROM bindings and their relations when the entry
+    /// takes the delta path ([`delta_bindings`] is the gate); `None`
+    /// when a touching delta rematerializes it.
+    bindings: Option<Vec<(String, RelId)>>,
 }
 
 /// What one `MatRegistry::maintain` pass did, per entry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintOutcome {
-    /// Entries patched in place (delta-evaluated inserts, filtered
-    /// deletes).
+    /// Entries brought to the new epoch by the delta path: evaluated
+    /// against the delta's rows only, then merged.
     pub patched: u64,
     /// Entries whose relations the delta did not touch: re-keyed to the
     /// new epoch with the same `Arc`.
     pub carried: u64,
-    /// Entries rebuilt by re-executing the full preference query.
+    /// Entries rebuilt by re-executing the full preference query: the
+    /// touched entries the delta path does not cover, and those whose
+    /// delta evaluation failed.
     pub rematerialized: u64,
     /// Entries dropped because rebuilding them failed; the next PPA run
     /// rebuilds and re-registers them.
@@ -214,11 +254,7 @@ impl MatRegistry {
         if shape.elastic || shape.unknown {
             return 0;
         }
-        let patchable = !shape.subquery
-            && !shape.derived
-            && select.group_by.is_empty()
-            && select.having.is_none()
-            && shape.rels.as_slice() == [tid_rel];
+        let bindings = delta_bindings(db.catalog(), select, &shape, tid_binding);
         let key = MatKey { db: db.id(), version: db.version(), sql: select.to_string() };
         let entry = MatEntry {
             result,
@@ -227,7 +263,7 @@ impl MatRegistry {
             rels: shape.rels,
             tid_rel,
             tid_binding: tid_binding.to_string(),
-            patchable,
+            bindings,
         };
         let mut map = lock(&self.entries);
         let mut evicted = 0;
@@ -254,14 +290,15 @@ impl MatRegistry {
         evicted
     }
 
-    /// Re-keys every entry of `db`'s logical database from the delta's
-    /// old epoch to its new one: carry / patch / rematerialize / drop per
-    /// the module docs. Entries registered against older epochs are
-    /// discarded as stale; entries already at the new epoch (registered
-    /// by a racing reader) are left alone.
+    /// Re-keys every entry of the delta's logical database from its old
+    /// epoch `before` to the published epoch `after`: carry / patch /
+    /// rematerialize / drop per the module docs. Entries registered
+    /// against older epochs are discarded as stale; entries already at
+    /// the new epoch (registered by a racing reader) are left alone.
     pub(crate) fn maintain(
         &self,
-        db: &Database,
+        before: &Database,
+        after: &Database,
         applied: &AppliedDelta,
         engine: &Engine,
     ) -> MaintOutcome {
@@ -271,7 +308,7 @@ impl MatRegistry {
             let mut map = lock(&self.entries);
             let keys: Vec<MatKey> = map
                 .keys()
-                .filter(|k| k.db == db.id() && k.version <= applied.old_version)
+                .filter(|k| k.db == after.id() && k.version <= applied.old_version)
                 .cloned()
                 .collect();
             for k in keys {
@@ -294,23 +331,17 @@ impl MatRegistry {
                 keep.push((fresh, entry));
                 continue;
             }
-            let patched = if entry.patchable {
-                applied.relation(entry.tid_rel).and_then(|slice| {
-                    eval_inserted(engine, db, &guard, &entry, &slice.inserted)
-                        .ok()
-                        .map(|appended| patch_result(&entry.result, &slice.deleted, &appended))
-                })
-            } else {
-                None
-            };
+            let patched = entry.bindings.as_deref().and_then(|bindings| {
+                delta_result(engine, before, after, &guard, &entry, bindings, applied).ok()
+            });
             if let Some(result) = patched {
-                entry.result = Arc::new(result);
+                entry.result = result;
                 out.patched += 1;
                 keep.push((fresh, entry));
                 continue;
             }
             let mut st = ExecStats::default();
-            match materialize_pref(engine, db, &guard, &entry.select, entry.default, &mut st) {
+            match materialize_pref(engine, after, &guard, &entry.select, entry.default, &mut st) {
                 Ok(r) => {
                     entry.result = Arc::new(r);
                     out.rematerialized += 1;
@@ -423,61 +454,150 @@ fn scan_expr(catalog: &Catalog, e: &Expr, shape: &mut SelectShape) {
     }
 }
 
-/// Re-evaluates a patchable entry's preference select against just the
-/// delta's inserted row ids (the same rowid-set rebind PPA's emission
-/// bursts use) and returns the qualifying `(tid, degree)` pairs in
-/// canonical ascending-id order.
-fn eval_inserted(
+/// The delta-path gate (module docs): the FROM bindings of a
+/// select-project-join entry with their relations, or `None` when a
+/// touching delta must rematerialize the entry.
+fn delta_bindings(
+    catalog: &Catalog,
+    select: &Select,
+    shape: &SelectShape,
+    tid_binding: &str,
+) -> Option<Vec<(String, RelId)>> {
+    if shape.subquery || shape.derived || !select.group_by.is_empty() || select.having.is_some() {
+        return None;
+    }
+    let bindings = select
+        .from
+        .iter()
+        .map(|tr| match tr {
+            TableRef::Relation { name, .. } => {
+                catalog.relation_by_name(name).ok().map(|r| (tr.binding().to_string(), r.id))
+            }
+            TableRef::Derived { .. } => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    // A `rowid = k` conjunct of its own would take the place of the
+    // restriction's placeholder in the plan.
+    let is_rowid = |e: &Expr| {
+        matches!(e, Expr::Column { name, .. } if name.eq_ignore_ascii_case("rowid"))
+    };
+    let fetches_by_rowid = select.where_clause.as_ref().is_some_and(|w| {
+        w.conjuncts().into_iter().any(|c| match c {
+            Expr::Binary { left, op: BinaryOp::Eq, right } => is_rowid(left) || is_rowid(right),
+            _ => false,
+        })
+    });
+    let constant_degree =
+        matches!(select.items.get(1), Some(SelectItem::Expr { expr: Expr::Literal(_), .. }));
+    let has_tid = bindings.iter().any(|(b, _)| b == tid_binding);
+    (has_tid && !fetches_by_rowid && (constant_degree || bindings.len() == 1)).then_some(bindings)
+}
+
+/// The delta path (module docs): `entry`'s result on `after`, computed
+/// from its result on `before` and the rows `applied` touched. Any
+/// failed evaluation fails the whole path, so nothing is half-merged.
+fn delta_result(
+    engine: &Engine,
+    before: &Database,
+    after: &Database,
+    guard: &QueryGuard,
+    entry: &MatEntry,
+    bindings: &[(String, RelId)],
+    applied: &AppliedDelta,
+) -> Result<Arc<PrefResult>, ExecError> {
+    let eval = |db: &Database, binding: &str, rel: RelId, ids: Vec<u64>| {
+        eval_restricted(engine, db, guard, entry, binding, rel, ids)
+    };
+    let ids = |rows: &[RowId]| rows.iter().map(|r| r.0).collect::<Vec<u64>>();
+    let mut added: Vec<(u64, f64)> = Vec::new();
+    let mut dropped: HashSet<u64> = HashSet::new();
+    let mut candidates: Vec<u64> = Vec::new();
+    for (binding, rel) in bindings {
+        let Some(slice) = applied.relation(*rel) else { continue };
+        added.extend(eval(after, binding, *rel, ids(&slice.inserted))?);
+        if *binding == entry.tid_binding {
+            dropped.extend(ids(&slice.deleted));
+        } else {
+            let lost = eval(before, binding, *rel, ids(&slice.deleted))?;
+            candidates.extend(lost.into_iter().map(|(t, _)| t));
+        }
+    }
+    candidates.sort_unstable();
+    candidates.dedup();
+    candidates.retain(|t| !dropped.contains(t));
+    added.extend(eval(after, &entry.tid_binding, entry.tid_rel, candidates.clone())?);
+    dropped.extend(candidates);
+    Ok(merge(&entry.result, &dropped, added))
+}
+
+/// Evaluates `entry`'s select on `db` with `binding` restricted to the
+/// row ids `ids`, returning the qualifying `(tid, degree)` pairs in plan
+/// order (duplicates included).
+fn eval_restricted(
     engine: &Engine,
     db: &Database,
     guard: &QueryGuard,
     entry: &MatEntry,
-    inserted: &[RowId],
+    binding: &str,
+    rel: RelId,
+    ids: Vec<u64>,
 ) -> Result<Vec<(u64, f64)>, ExecError> {
-    if inserted.is_empty() {
+    if ids.is_empty() {
         return Ok(Vec::new());
     }
-    let mut sq = entry.select.clone();
-    merge_filter(
-        &mut sq,
-        builder::eq(builder::col(&entry.tid_binding, "rowid"), builder::int(0)),
-    );
-    let mut q = engine.prepare(db, &Query::from_select(sq))?;
-    let ids: Arc<Vec<u64>> = Arc::new(inserted.iter().map(|r| r.0).collect());
-    q.rebind_rowid_set(entry.tid_rel, &ids);
+    let restricted = |filter: Expr| {
+        let mut s = entry.select.clone();
+        merge_filter(&mut s, filter);
+        Query::from_select(s)
+    };
+    let rowid = builder::col(binding, "rowid");
+    let mut q = engine.prepare(db, &restricted(builder::eq(rowid.clone(), builder::int(0))))?;
+    let ids = Arc::new(ids);
+    if q.rebind_rowid_set(rel, &ids) != 1 {
+        // The plan reaches the binding through an index join, where the
+        // placeholder stays a plain filter: list the ids instead, which
+        // restricts the binding in any plan shape.
+        let list = ids.iter().map(|&id| builder::int(id as i64)).collect();
+        let in_ids = Expr::InList { expr: Box::new(rowid), negated: false, list };
+        q = engine.prepare(db, &restricted(in_ids))?;
+    }
     let mut st = ExecStats::default();
     let rows = engine.execute_prepared_rows_guarded(db, &q, &mut st, guard)?;
-    let mut seen: TidMap<()> = TidMap::with_capacity_and_hasher(rows.len(), TidBuild::default());
-    let mut out: Vec<(u64, f64)> = Vec::with_capacity(rows.len());
-    for r in &rows {
-        let tid = match r[0].as_i64() {
-            Some(t) if t >= 0 => t as u64,
-            _ => continue,
-        };
-        if let std::collections::hash_map::Entry::Vacant(e) = seen.entry(tid) {
-            e.insert(());
-            out.push((tid, r[1].as_f64().unwrap_or(entry.default)));
-        }
-    }
-    out.sort_unstable_by_key(|&(t, _)| t);
-    Ok(out)
+    Ok(rows
+        .iter()
+        .filter_map(|r| {
+            let tid = r[0].as_i64().filter(|&t| t >= 0)?;
+            Some((tid as u64, r[1].as_f64().unwrap_or(entry.default)))
+        })
+        .collect())
 }
 
-/// Applies one delta to a materialized result: drop deleted ids, append
-/// the delta-evaluated inserts. Inserted row ids are strictly greater
-/// than every pre-delta id (slots are never reused), so filter + append
-/// preserves the canonical ascending order a recompute would produce.
-fn patch_result(old: &PrefResult, deleted: &[RowId], appended: &[(u64, f64)]) -> PrefResult {
-    let dead: HashSet<u64> = deleted.iter().map(|r| r.0).collect();
-    let mut rows: Vec<(u64, f64)> = Vec::with_capacity(old.rows.len() + appended.len());
-    rows.extend(old.rows.iter().copied().filter(|(t, _)| !dead.contains(t)));
-    rows.extend(appended.iter().copied().filter(|(t, _)| !old.index.contains_key(t)));
-    debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "patched rows out of canon");
-    let mut index: TidMap<f64> = TidMap::with_capacity_and_hasher(rows.len(), TidBuild::default());
-    for &(t, d) in &rows {
-        index.insert(t, d);
+/// Applies a delta's effect to a result: a `removed` tuple loses its
+/// row unless `added` derives it again, an `added` tuple the result
+/// lacks gains one. A kept row is never rewritten (degrees agree across
+/// derivations under the gate), so when membership did not change the
+/// same `Arc` comes back.
+fn merge(old: &Arc<PrefResult>, removed: &HashSet<u64>, added: Vec<(u64, f64)>) -> Arc<PrefResult> {
+    let derived: HashSet<u64> = added.iter().map(|&(t, _)| t).collect();
+    let lost: HashSet<u64> = removed
+        .iter()
+        .copied()
+        .filter(|t| old.index.contains_key(t) && !derived.contains(t))
+        .collect();
+    let mut gained: Vec<(u64, f64)> =
+        added.into_iter().filter(|(t, _)| !old.index.contains_key(t)).collect();
+    gained.sort_by_key(|&(t, _)| t);
+    gained.dedup_by_key(|&mut (t, _)| t);
+    if lost.is_empty() && gained.is_empty() {
+        return Arc::clone(old);
     }
-    PrefResult { rows, index }
+    let mut rows: Vec<(u64, f64)> =
+        old.rows.iter().copied().filter(|(t, _)| !lost.contains(t)).collect();
+    rows.extend(gained);
+    // Canonical order; the sort is linear on a sorted run plus a tail.
+    rows.sort_by_key(|&(t, _)| t);
+    let index = rows.iter().copied().collect();
+    Arc::new(PrefResult { rows, index })
 }
 
 /// The write path of a maintained deployment: serializes delta publishes
@@ -558,8 +678,8 @@ impl Maintainer {
         delta: &DbDelta,
     ) -> Result<(Arc<Database>, AppliedDelta, MaintOutcome), StorageError> {
         let _serialized = lock(&self.publish_lock);
-        let (db, applied) = self.store.publish_delta(delta)?;
-        let outcome = self.registry.maintain(&db, &applied, &self.engine);
+        let (before, db, applied) = self.store.publish_delta(delta)?;
+        let outcome = self.registry.maintain(&before, &db, &applied, &self.engine);
         self.metrics.counter("maint.deltas").inc();
         self.metrics.counter("maint.rows_inserted").add(applied.rows_inserted() as u64);
         self.metrics.counter("maint.rows_deleted").add(applied.rows_deleted() as u64);
@@ -682,27 +802,116 @@ mod tests {
         assert!(Arc::ptr_eq(&carried, &built), "untouched entry must not be rebuilt");
     }
 
+    /// Publishes `delta` and checks every `(select, default)` entry
+    /// against a recompute on the new epoch, returning the receipt.
+    fn publish_and_audit(
+        maintainer: &Maintainer,
+        entries: &[(Select, f64)],
+        delta: DbDelta,
+    ) -> MaintOutcome {
+        let (db, _, outcome) = maintainer.publish(&delta).unwrap();
+        let engine = Engine::new();
+        for (select, default) in entries {
+            let maintained = maintainer.registry().get(&db, select).expect("entry survived");
+            let mut st = ExecStats::default();
+            let guard = QueryGuard::unlimited();
+            let recomputed = materialize_pref(&engine, &db, &guard, select, *default, &mut st);
+            let recomputed = recomputed.unwrap();
+            assert_eq!(maintained.rows, recomputed.rows, "{select} after {delta:?}");
+            assert_eq!(maintained.index, recomputed.index, "{select} after {delta:?}");
+        }
+        outcome
+    }
+
     #[test]
-    fn join_entries_rematerialize_instead_of_patching() {
+    fn join_entries_are_patched_from_the_delta() {
+        let store = seed_store();
+        let maintainer = Maintainer::new(Arc::clone(&store));
+        let registry = maintainer.registry();
+        let engine = Engine::new();
+        // An equi-join (index-joined), a range join (every S row at or
+        // below R.a is a derivation) and a cross-bound `<>`.
+        let entries: Vec<(Select, f64)> = [
+            "select R.rowid as qp_tid, 0.5 as qp_degree from R, S where R.a = S.x",
+            "select R.rowid as qp_tid, 0.4 as qp_degree from R, S where R.a >= S.x and S.x > 2",
+            "select R.rowid as qp_tid, 0.3 as qp_degree from R, S where R.a <> S.x and R.b < 60",
+        ]
+        .into_iter()
+        .map(|sql| (pref_select(sql), 0.0))
+        .collect();
+        let db0 = store.snapshot();
+        let r = rel(&db0, "R");
+        for (select, default) in &entries {
+            registry.register(&db0, select, *default, r, "R", materialized(&engine, &db0, select));
+        }
+        let row = |a: i64| vec![Value::Int(a), Value::Int(a * 10)];
+        let s = |x: i64| vec![Value::Int(x)];
+        let deltas = [
+            // Inserts that join existing R rows, one of them a second
+            // derivation of R.a = 1.
+            DbDelta::new().insert("S", s(7)).insert("S", s(1)).insert("S", s(4)),
+            // Deletes that leave a second derivation (S.x = 1 twice).
+            DbDelta::new().delete("S", s(1)),
+            // Delete-then-reinsert of a joined row: fresh id, same tuples.
+            DbDelta::new().delete("S", s(7)).insert("S", s(7)),
+            // Deletes that remove the only derivation.
+            DbDelta::new().delete("S", s(7)).delete("S", s(4)),
+            // Tid deletes and reinserts, and an insert on both sides.
+            DbDelta::new().delete("R", row(1)).insert("R", row(1)).insert("R", row(12)),
+            DbDelta::new().insert("R", row(13)).insert("S", s(13)).delete("S", s(1)),
+        ];
+        for delta in deltas {
+            let outcome = publish_and_audit(&maintainer, &entries, delta);
+            let expect = MaintOutcome { patched: entries.len() as u64, ..MaintOutcome::default() };
+            assert_eq!(outcome, expect, "every join entry takes the delta path");
+        }
+    }
+
+    #[test]
+    fn not_in_entries_still_rematerialize() {
         let store = seed_store();
         let maintainer = Maintainer::new(Arc::clone(&store));
         let registry = maintainer.registry();
         let engine = Engine::new();
         let select = pref_select(
-            "select R.rowid as qp_tid, 0.5 as qp_degree from R, S where R.a = S.x",
+            "select R.rowid as qp_tid, 0.6 as qp_degree from R where R.rowid not in \
+             (select R2.rowid from R R2, S where R2.a = S.x)",
         );
         let db0 = store.snapshot();
         let r = rel(&db0, "R");
-        registry.register(&db0, &select, 0.5, r, "R", materialized(&engine, &db0, &select));
+        registry.register(&db0, &select, 0.6, r, "R", materialized(&engine, &db0, &select));
+        let entries = [(select, 0.6)];
+        let delta = DbDelta::new().insert("S", vec![Value::Int(4)]);
+        let outcome = publish_and_audit(&maintainer, &entries, delta);
+        assert_eq!(outcome, MaintOutcome { rematerialized: 1, ..MaintOutcome::default() });
+    }
 
-        // Inserting into S changes which R rows join; a patch over R's
-        // delta alone would miss it.
-        let delta = DbDelta::new().insert("S", vec![Value::Int(7)]);
-        let (db1, _, _) = maintainer.publish(&delta).unwrap();
-        let maintained = registry.get(&db1, &select).expect("rematerialized");
-        let recomputed = materialized(&engine, &db1, &select);
-        assert_eq!(maintained.rows, recomputed.rows);
-        assert!(maintained.index.contains_key(&7), "row joining the new S tuple");
+    #[test]
+    fn index_joined_binding_is_restricted_by_an_id_list() {
+        let store = seed_store();
+        let maintainer = Maintainer::new(Arc::clone(&store));
+        let registry = maintainer.registry();
+        let engine = Engine::new();
+        // S comes first and its one row ties R's one-row restriction, so
+        // the plan starts at S and index-joins R.
+        let select =
+            pref_select("select R.rowid as qp_tid, 0.5 as qp_degree from S, R where R.a = S.x");
+        let db0 = store.snapshot();
+        let r = rel(&db0, "R");
+        registry.register(&db0, &select, 0.5, r, "R", materialized(&engine, &db0, &select));
+        let delta = DbDelta::new()
+            .insert("R", vec![Value::Int(1), Value::Int(0)])
+            .insert("R", vec![Value::Int(2), Value::Int(0)]);
+        let entries = [(select.clone(), 0.5)];
+        let outcome = publish_and_audit(&maintainer, &entries, delta);
+        assert_eq!(outcome, MaintOutcome { patched: 1, ..MaintOutcome::default() });
+
+        let db1 = store.snapshot();
+        let mut placeholder = select.clone();
+        merge_filter(&mut placeholder, builder::eq(builder::col("R", "rowid"), builder::int(0)));
+        let mut q = engine.prepare(&db1, &Query::from_select(placeholder)).unwrap();
+        assert_eq!(q.rebind_rowid_set(r, &Arc::new(vec![10, 11])), 0, "R is index-joined");
+        assert_eq!(registry.get(&db1, &select).unwrap().rows.len(), 2, "R.a = 1 twice");
     }
 
     #[test]

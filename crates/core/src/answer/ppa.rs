@@ -282,11 +282,10 @@ fn probe_chunk(
 /// plan output order. Inter-tuple order within a round is unobservable in
 /// the final answer (emission pops a strictly ordered heap), and the
 /// canonical order is what lets the incremental-maintenance layer
-/// ([`crate::answer::maint`]) patch a materialization in place — filter
-/// deleted ids, append freshly inserted ones (row ids are never reused,
-/// so inserts sort after every surviving id) — and stay byte-identical
-/// to a recompute-from-scratch regardless of which plan shape the
-/// recompute would pick.
+/// ([`crate::answer::maint`]) merge a delta's gained and lost tuples
+/// into a materialization and stay byte-identical to a
+/// recompute-from-scratch regardless of which plan shape the recompute
+/// would pick.
 pub(crate) struct PrefResult {
     /// `(tid, degree)` per qualifying tuple in ascending-tid order; the
     /// degree is the plan's first row per id, NULL already defaulted to
@@ -333,7 +332,7 @@ pub(crate) fn materialize_pref(
 
 /// The maintenance hookup of one PPA run: the attached [`MatRegistry`]
 /// plus the tuple-identity facts ([`MatRegistry::register`] needs them to
-/// judge patchability) resolved from the initial query.
+/// gate the delta path) resolved from the initial query.
 pub(crate) struct RegistryCtx<'a> {
     /// The registry shared across runs (and with the delta publisher).
     pub(crate) registry: &'a MatRegistry,

@@ -243,6 +243,9 @@ mod tests {
 
     #[test]
     fn invalidate_profile_drops_only_that_profile() {
+        // Cache operations pass the `cache.pref.shard` site that sibling
+        // tests arm; the guard keeps their faults out of this test.
+        let _s = qp_storage::failpoint::FailScenario::setup();
         let cache = PreferenceCache::new();
         let p1 = Profile::new();
         let p2 = Profile::new();

@@ -369,8 +369,9 @@ fn soak(seed: u64) {
     assert!((movie_rows - 280).is_multiple_of(2), "torn publish: {movie_rows} movie rows");
 
     // After the storm: serial and parallel runs on the final epoch agree
-    // exactly (chaos changed the data, never the semantics).
-    drop(scenario);
+    // exactly (chaos changed the data, never the semantics). The
+    // scenario guard is held through this check, so no concurrently
+    // running seed can arm its chaos plan inside it.
     for sql in QUERIES {
         for algorithm in [AnswerAlgorithm::Ppa, AnswerAlgorithm::Spa] {
             let serial = reference(&store, &profile, sql, algorithm);
@@ -384,6 +385,7 @@ fn soak(seed: u64) {
             assert_eq!(serial, parallel.report.answer, "parallel ≠ serial after chaos");
         }
     }
+    drop(scenario);
 }
 
 /// The sustained mixed read/write leg: concurrent delta publishers and

@@ -7,7 +7,12 @@
 //! depends only on the catalog (and the profile), so data deltas must
 //! never drop per-user selection memos, and schema publishes must drop
 //! them wholesale.
+//!
+//! Every test takes a [`FailScenario`]: built with `--features
+//! failpoints`, one test arms execution faults, and the guard keeps them
+//! out of the others.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -16,7 +21,8 @@ use qp_core::{
     SelectionCriterion, UserId,
 };
 use qp_sql::parse_query;
-use qp_storage::{Attribute, DataType, Database, DbDelta, SnapshotStore, Value};
+use qp_storage::failpoint::FailScenario;
+use qp_storage::{Attribute, DataType, Database, DbDelta, Row, SnapshotStore, Value};
 
 /// The movies fixture as a snapshot store.
 fn movies_store(extra: i64) -> Arc<SnapshotStore> {
@@ -85,9 +91,9 @@ fn movies_store(extra: i64) -> Arc<SnapshotStore> {
     Arc::new(SnapshotStore::new(db))
 }
 
-/// Mixed profile: `MOVIE.year < 1980` is single-relation (patchable by
-/// the maintainer), the director and genre preferences join through
-/// other relations (carried or rematerialized depending on the delta).
+/// Mixed profile: `MOVIE.year < 1980` is single-relation, the director
+/// and genre preferences join through other relations (carried or
+/// patched depending on the delta).
 fn als_profile(db: &Database) -> Profile {
     Profile::parse(
         db.catalog(),
@@ -138,6 +144,7 @@ proptest! {
     /// the maintained run executes zero preference queries.
     #[test]
     fn maintained_answers_match_recompute_over_delta_sequences(deltas in arb_deltas()) {
+        let _fp = FailScenario::setup();
         let store = movies_store(10);
         let snapshot = store.snapshot();
         let profile = als_profile(&snapshot);
@@ -253,6 +260,7 @@ proptest! {
 /// what the memoized selection should contain.
 #[test]
 fn selection_memos_outlive_data_publishes_but_not_schema_changes() {
+    let _fp = FailScenario::setup();
     let store = movies_store(4);
     let snapshot = store.snapshot();
     let profile = als_profile(&snapshot);
@@ -321,9 +329,11 @@ fn selection_memos_outlive_data_publishes_but_not_schema_changes() {
 /// Steady-state serving under write traffic: once warm, every maintained
 /// run resolves all K preference results from the registry (counted as
 /// `maint.registry.hits` on the engine's metrics) and executes zero
-/// preference queries, across both patch and rematerialize deltas.
+/// preference queries, across deltas on the tid relation and on a
+/// joined one.
 #[test]
 fn steady_state_runs_replay_the_registry() {
+    let _fp = FailScenario::setup();
     let store = movies_store(10);
     let snapshot = store.snapshot();
     let profile = als_profile(&snapshot);
@@ -341,8 +351,8 @@ fn steady_state_runs_replay_the_registry() {
     let k = maintainer.registry().len();
     assert!(k > 0, "warmup registers the run's materializations");
 
-    // A MOVIE-only delta patches; a GENRE delta forces rematerialization
-    // of the join-shaped entries. Both must leave steady state intact.
+    // A MOVIE-only delta and a GENRE-only delta, the latter patching
+    // the join-shaped entries. Both must leave steady state intact.
     let deltas = [
         DbDelta::new().insert(
             "MOVIE",
@@ -366,4 +376,223 @@ fn steady_state_runs_replay_the_registry() {
             "all K preference results should come from the registry"
         );
     }
+}
+
+/// A profile whose preferences reach GENRE and DIRECTOR over joins: the
+/// `<>` and range conditions over the to-many GENRE path give a movie
+/// several derivations, so a delete can leave it a second one.
+fn join_profile(db: &Database) -> Profile {
+    Profile::parse(
+        db.catalog(),
+        "doi(DIRECTOR.name = 'W. Allen') = (0.8, 0)\n\
+         doi(DIRECTOR.name <> 'M. Mann') = (0.4, 0)\n\
+         doi(GENRE.genre = 'musical') = (-0.9, 0.7)\n\
+         doi(GENRE.genre <> 'comedy') = (0.6, 0)\n\
+         doi(GENRE.genre >= 'm') = (0.5, 0)\n\
+         doi(MOVIE.year < 1980) = (-0.7, 0)\n\
+         doi(MOVIE.mid = DIRECTED.mid) = (1)\n\
+         doi(DIRECTED.did = DIRECTOR.did) = (0.9)\n\
+         doi(MOVIE.mid = GENRE.mid) = (0.8)\n",
+    )
+    .unwrap()
+}
+
+/// The relations on the join paths, none of them the tid relation.
+const JOINED: [&str; 3] = ["GENRE", "DIRECTED", "DIRECTOR"];
+const GENRES: [&str; 4] = ["comedy", "musical", "thriller", "drama"];
+const NAMES: [&str; 4] = ["W. Allen", "M. Mann", "R. Marshall", "J. Doe"];
+
+/// One generated write to a joined relation; `rel` indexes [`JOINED`],
+/// `pick` and `value` are resolved against the live rows at build time.
+#[derive(Debug, Clone)]
+enum JoinOp {
+    /// A GENRE tag or DIRECTED link for a live movie (so it joins an
+    /// existing movie), or a DIRECTOR row whose `did` may repeat a live
+    /// one (a second derivation through DIRECTOR).
+    Insert { rel: usize, pick: usize, value: usize },
+    /// Delete a live row.
+    Delete { rel: usize, pick: usize },
+    /// Delete a live row and reinsert its values in the same delta.
+    Reinsert { rel: usize, pick: usize },
+}
+
+fn arb_join_op() -> impl Strategy<Value = JoinOp> {
+    prop_oneof![
+        (0usize..3, 0usize..64, 0usize..8)
+            .prop_map(|(rel, pick, value)| JoinOp::Insert { rel, pick, value }),
+        (0usize..3, 0usize..64).prop_map(|(rel, pick)| JoinOp::Delete { rel, pick }),
+        (0usize..3, 0usize..64).prop_map(|(rel, pick)| JoinOp::Reinsert { rel, pick }),
+    ]
+}
+
+/// Live rows of one relation of the store.
+fn rows_of(db: &Database, rel: &str) -> Vec<Row> {
+    db.table_by_name(rel).unwrap().iter().map(|(_, row)| row.clone()).collect()
+}
+
+/// Builds one delta from `ops` against the model of live rows `live`
+/// (indexed like [`JOINED`]), updating the model. A delta targets each
+/// live row value at most once and never deletes a row it inserts.
+fn join_delta(ops: &[JoinOp], movies: &[Row], live: &mut [Vec<Row>; 3]) -> DbDelta {
+    let mut delta = DbDelta::new();
+    let mut targeted: HashSet<(usize, Row)> = HashSet::new();
+    for op in ops {
+        match *op {
+            JoinOp::Insert { rel, pick, value } => {
+                let mid = movies[pick % movies.len()][0].clone();
+                let row = match rel {
+                    0 => vec![mid, Value::str(GENRES[value % GENRES.len()])],
+                    1 => vec![mid, Value::Int(1 + (value % 4) as i64)],
+                    _ => vec![Value::Int(1 + (value % 4) as i64), Value::str(NAMES[pick % 4])],
+                };
+                targeted.insert((rel, row.clone()));
+                live[rel].push(row.clone());
+                delta = delta.insert(JOINED[rel], row);
+            }
+            JoinOp::Delete { rel, pick } | JoinOp::Reinsert { rel, pick } => {
+                if live[rel].is_empty() {
+                    continue;
+                }
+                let at = pick % live[rel].len();
+                let row = live[rel][at].clone();
+                if !targeted.insert((rel, row.clone())) {
+                    continue;
+                }
+                delta = delta.delete(JOINED[rel], row.clone());
+                if matches!(op, JoinOp::Reinsert { .. }) {
+                    delta = delta.insert(JOINED[rel], row);
+                } else {
+                    live[rel].remove(at);
+                }
+            }
+        }
+    }
+    delta
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Join-path parity: deltas on GENRE, DIRECTED and DIRECTOR only —
+    /// inserts joining existing movies, deletes that leave a movie a
+    /// second derivation or none, delete-then-reinsert — keep every
+    /// maintained answer byte-identical to a recompute, with zero
+    /// preference queries per steady-state read. PPA registers no
+    /// `NOT IN` entry (its absence queries are joins), so every touched
+    /// entry takes the delta path: nothing is rematerialized.
+    #[test]
+    fn maintained_joins_match_recompute_over_delta_sequences(
+        deltas in prop::collection::vec(prop::collection::vec(arb_join_op(), 1..6), 1..5),
+    ) {
+        let _fp = FailScenario::setup();
+        let store = movies_store(10);
+        let snapshot = store.snapshot();
+        let profile = join_profile(&snapshot);
+        let initial = parse_query("select title from MOVIE").unwrap();
+        let maintainer = Maintainer::new(Arc::clone(&store));
+        let mut maintained = Personalizer::serving(Arc::clone(&store))
+            .with_maintenance(maintainer.registry());
+        let request = || {
+            PersonalizeRequest::query(&profile, &initial)
+                .criterion(SelectionCriterion::TopK(6))
+                .algorithm(AnswerAlgorithm::Ppa)
+        };
+        maintained.run(request()).unwrap();
+        let registered = maintainer.registry().len() as u64;
+        prop_assert!(registered >= 6, "warmup registers every selected preference");
+
+        let movies = rows_of(&snapshot, "MOVIE");
+        let mut live = JOINED.map(|rel| rows_of(&snapshot, rel));
+        for ops in deltas {
+            let delta = join_delta(&ops, &movies, &mut live);
+            if delta.is_empty() {
+                continue;
+            }
+            let (epoch, _, outcome) = maintainer.publish(&delta).unwrap();
+            prop_assert_eq!(outcome.rematerialized, 0, "{:?}", delta);
+            prop_assert_eq!(outcome.dropped + outcome.stale, 0);
+            prop_assert_eq!(outcome.patched + outcome.carried, registered);
+            prop_assert!(outcome.patched > 0, "every delta touches a joined entry");
+
+            let got = maintained.run(request()).unwrap();
+            prop_assert_eq!(
+                got.report.ppa_stats.map(|s| s.parameterized_queries),
+                Some(0),
+                "steady-state maintained run must execute zero preference queries"
+            );
+            let expect = Personalizer::shared(Arc::clone(&epoch)).run(request()).unwrap();
+            prop_assert_eq!(
+                &got.report.answer,
+                &expect.report.answer,
+                "maintained answer != recompute after {:?}",
+                delta
+            );
+        }
+    }
+}
+
+/// An execution fault during a delta evaluation makes that entry
+/// rematerialize, or drop when the rebuild faults too; no entry is left
+/// half-merged. Seeded chaos on the scan and index-join sites hits
+/// insert, delete and re-check evaluations alike. After each faulted
+/// publish the next read rebuilds exactly the dropped entries and
+/// matches a recompute byte for byte.
+#[cfg(feature = "failpoints")]
+#[test]
+fn faulted_delta_evaluations_fall_back_without_half_merging() {
+    use qp_storage::chaos::ChaosPlan;
+    use qp_storage::failpoint;
+
+    let mut totals = qp_core::MaintOutcome::default();
+    for seed in 1..=12u64 {
+        let _fp = FailScenario::setup();
+        let store = movies_store(10);
+        let snapshot = store.snapshot();
+        let profile = join_profile(&snapshot);
+        let initial = parse_query("select title from MOVIE").unwrap();
+        let maintainer = Maintainer::new(Arc::clone(&store));
+        let mut maintained = Personalizer::serving(Arc::clone(&store))
+            .with_maintenance(maintainer.registry());
+        let request = || {
+            PersonalizeRequest::query(&profile, &initial)
+                .criterion(SelectionCriterion::TopK(6))
+                .algorithm(AnswerAlgorithm::Ppa)
+        };
+        maintained.run(request()).unwrap();
+        let registered = maintainer.registry().len() as u64;
+
+        // Every evaluation kind: a tag joining an existing movie, a
+        // delete leaving movie 1 its other genre, a tid delete, and a
+        // new DIRECTED link.
+        let delta = DbDelta::new()
+            .insert("GENRE", vec![Value::Int(1), Value::str("musical")])
+            .delete("GENRE", vec![Value::Int(6), Value::str("comedy")])
+            .delete("MOVIE", vec![Value::Int(4), Value::str("Heat"), Value::Int(1995)])
+            .insert("DIRECTED", vec![Value::Int(7), Value::Int(1)]);
+        let plan = ChaosPlan::new(seed).error("exec.scan", 2500).error("exec.index_join", 2500);
+        plan.arm();
+        let published = maintainer.publish(&delta);
+        failpoint::clear();
+        let (epoch, _, outcome) = published.unwrap();
+        assert_eq!(
+            outcome.patched + outcome.carried + outcome.rematerialized + outcome.dropped,
+            registered,
+            "seed {seed}: every entry has exactly one outcome"
+        );
+        totals.patched += outcome.patched;
+        totals.rematerialized += outcome.rematerialized;
+        totals.dropped += outcome.dropped;
+
+        let got = maintained.run(request()).unwrap();
+        assert_eq!(
+            got.report.ppa_stats.map(|s| s.parameterized_queries),
+            Some(outcome.dropped as usize),
+            "seed {seed}: the next read rebuilds exactly the dropped entries"
+        );
+        let expect = Personalizer::shared(Arc::clone(&epoch)).run(request()).unwrap();
+        assert_eq!(got.report.answer, expect.report.answer, "seed {seed}: half-merged entry");
+    }
+    assert!(totals.rematerialized > 0, "no fault fell back to rematerialization: {totals:?}");
+    assert!(totals.dropped > 0, "no fault dropped an entry: {totals:?}");
+    assert!(totals.patched > 0, "chaos left no delta path intact: {totals:?}");
 }

@@ -101,9 +101,11 @@ impl SnapshotStore {
     }
 
     /// Applies a typed [`DbDelta`] atomically and publishes the result
-    /// as the next epoch, returning the published epoch together with
-    /// the applied row ids ([`AppliedDelta`]) — the input the
-    /// incremental-maintenance layer patches materializations from. A
+    /// as the next epoch. Returns the pre-delta epoch the delta was
+    /// resolved against, the published epoch, and the applied row ids
+    /// ([`AppliedDelta`]) — the inputs the incremental-maintenance layer
+    /// patches materializations from: deleted rows are still live in the
+    /// pre-delta epoch, whatever other writers publish meanwhile. A
     /// rejected delta (unknown relation, arity/type mismatch, delete of
     /// a tuple with no live match) publishes nothing.
     ///
@@ -113,14 +115,15 @@ impl SnapshotStore {
     pub fn publish_delta(
         &self,
         delta: &DbDelta,
-    ) -> Result<(Arc<Database>, AppliedDelta), StorageError> {
+    ) -> Result<(Arc<Database>, Arc<Database>, AppliedDelta), StorageError> {
         let _writer = self.write.lock();
         crate::failpoint::check("snapshot.update").map_err(StorageError::Injected)?;
-        let mut next = self.current.read().snapshot_clone();
+        let before = self.snapshot();
+        let mut next = before.snapshot_clone();
         let applied = next.apply_delta(delta)?;
         let published = Arc::new(next);
         *self.current.write() = Arc::clone(&published);
-        Ok((published, applied))
+        Ok((before, published, applied))
     }
 }
 
@@ -244,7 +247,8 @@ mod tests {
         let delta = DbDelta::new()
             .delete("R", vec![Value::Int(2), Value::Int(20)])
             .insert("R", vec![Value::Int(7), Value::Int(70)]);
-        let (published, applied) = store.publish_delta(&delta).unwrap();
+        let (before, published, applied) = store.publish_delta(&delta).unwrap();
+        assert!(Arc::ptr_eq(&before, &pinned), "the pre-delta epoch is the one it cloned");
         assert_eq!(applied.old_version, v0);
         assert_eq!(applied.new_version, published.version());
         assert!(applied.new_version > v0);
