@@ -1,25 +1,15 @@
-//! Vectorized-vs-row operator microbenchmarks: the same queries on the
-//! batch engine (default) and the `QP_ROW_ENGINE` row-at-a-time oracle,
-//! so a criterion run shows the per-operator vectorization win directly.
-//! The derived-table join forces the hash-join path (a bare base-relation
-//! key would take the index join); the set-fetch bench measures the
-//! probe shape batched PPA rides on.
+//! Vectorized operator microbenchmarks: one query per operator shape on
+//! the batch engine. The derived-table join forces the hash-join path (a
+//! bare base-relation key would take the index join).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qp_bench::{bench_db, Scale};
 use qp_exec::Engine;
 use qp_sql::parse_query;
 
-fn engines() -> [(&'static str, Engine); 2] {
-    let mut batch = Engine::new();
-    batch.set_row_engine(false);
-    let mut row = Engine::new();
-    row.set_row_engine(true);
-    [("batch", batch), ("row", row)]
-}
-
 fn batch_ops(c: &mut Criterion) {
     let db = bench_db(Scale::Small);
+    let engine = Engine::new();
 
     let cases = [
         ("scan_filter", "select title from MOVIE where year >= 1990"),
@@ -42,14 +32,12 @@ fn batch_ops(c: &mut Criterion) {
              union all select distinct year from MOVIE where year >= 1990",
         ),
     ];
+    let mut g = c.benchmark_group("batch_ops");
     for (name, sql) in cases {
-        let mut g = c.benchmark_group(format!("batch_ops/{name}"));
         let q = parse_query(sql).unwrap();
-        for (engine_name, engine) in engines() {
-            g.bench_function(engine_name, |b| b.iter(|| engine.execute(&db, &q).unwrap()));
-        }
-        g.finish();
+        g.bench_function(name, |b| b.iter(|| engine.execute(&db, &q).unwrap()));
     }
+    g.finish();
 }
 
 criterion_group!(benches, batch_ops);

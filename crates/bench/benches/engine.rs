@@ -1,6 +1,8 @@
 //! Execution-engine microbenchmarks: the operator costs underneath SPA
 //! and PPA (scan+filter, index join, grouping, union, NOT IN, and the
-//! prepared row-fetch path PPA's parameterized queries ride on).
+//! prepared row-id set fetch PPA's emission bursts ride on).
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qp_bench::{bench_db, Scale};
@@ -56,15 +58,16 @@ fn engine_benches(c: &mut Criterion) {
         .unwrap();
         b.iter(|| engine.execute(&db, &q).unwrap())
     });
-    g.bench_function("prepared_rowid_fetch", |b| {
+    g.bench_function("prepared_rowid_set_fetch", |b| {
         let q = parse_query("select M.title from MOVIE M where M.rowid = 0").unwrap();
         let mut prepared = engine.prepare(&db, &q).unwrap();
         let rel = db.catalog().relation_by_name("MOVIE").unwrap().id;
         let mut stats = ExecStats::default();
         let mut tid = 0u64;
         b.iter(|| {
-            tid = (tid + 1) % 1000;
-            prepared.rebind_rowid(rel, tid);
+            // an 8-tuple emission burst
+            tid = (tid + 8) % 1000;
+            prepared.rebind_rowid_set(rel, &Arc::new((tid..tid + 8).collect()));
             engine.execute_prepared_rows(&db, &prepared, &mut stats)
         })
     });

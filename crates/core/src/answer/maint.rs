@@ -1,13 +1,13 @@
 //! Incremental maintenance of materialized preference results under
 //! write traffic.
 //!
-//! PPA's batched-probe path materializes each selected preference query
-//! exactly once per run ([`crate::answer::ppa`]'s `PrefResult`). Without
-//! maintenance those materializations die with the database epoch: every
-//! delta publish bumps [`Database::version`], every cache keyed on it
-//! stops matching, and the next personalization run re-executes all K
-//! preference queries from scratch — even when the delta touched a
-//! handful of tuples in one relation.
+//! PPA materializes each selected preference query at most once per run
+//! ([`crate::answer::ppa`]'s `PrefResult`). Without maintenance those
+//! materializations die with the database epoch: every delta publish
+//! bumps [`Database::version`], every cache keyed on it stops matching,
+//! and the next personalization run re-executes all K preference
+//! queries from scratch — even when the delta touched a handful of
+//! tuples in one relation.
 //!
 //! This module keeps the materializations alive across epochs:
 //!

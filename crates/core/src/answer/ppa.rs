@@ -5,12 +5,12 @@
 //! increasing selectivity (histogram estimates). Presence queries return
 //! tuples that *satisfy* their preference; absence queries return tuples
 //! that *fail* theirs. When a query first surfaces a tuple `t`, the
-//! remaining queries are evaluated for `t` alone via parameterized
-//! queries `Qiˢ(t)` / `Qiᴬ(t)` — compiled once with a placeholder row id
-//! and rebound per tuple, so each costs an O(1) row fetch plus a few
-//! index probes. The tuple's full satisfied/failed sets — and hence its
-//! exact doi under any mixed ranking function — are known immediately,
-//! which is what makes the answer *self-explanatory*.
+//! remaining queries are evaluated for `t` alone — the paper's
+//! parameterized queries `Qiˢ(t)` / `Qiᴬ(t)`, answered here by a hash
+//! lookup into each preference query's materialized result (see
+//! *Probes* below). The tuple's full satisfied/failed sets — and hence
+//! its exact doi under any mixed ranking function — are known
+//! immediately, which is what makes the answer *self-explanatory*.
 //!
 //! Note that PPA never executes a `NOT IN` exclusion: 1–n absence
 //! preferences are probed through their (cheap) failure-region queries,
@@ -31,49 +31,41 @@
 //! not having been returned by it. We use the corrected bound (all
 //! absence preferences) so emission order provably respects rank.
 //!
+//! **Probes.** PPA has one probe strategy. The first round that needs
+//! to probe a preference materializes that preference query's *full*
+//! result once (`PrefResult`) — the first row per tuple id, which is
+//! exactly what `Qiˢ(t)` / `Qiᴬ(t)` would return for `t` — and every
+//! later round probes it by hash lookup. When the materialized
+//! preference's own round comes up, the round replays the stored result
+//! instead of re-executing the query, so a run executes each preference
+//! query at most once and the per-round work is pure in-memory lookups. Emission fetches each burst's rows with one
+//! set-fetch execution ([`qp_exec::planner::CompiledQuery::rebind_rowid_set`]),
+//! which returns rows in listed-id order.
+//!
 //! **Parallelism.** Two layers of a round are independent work. First,
-//! each preference query's one-time materialization (`PrefResult`) is
-//! an independent unit — the round's missing materializations fan out
-//! over [`qp_exec::morsel_map`]'s work-stealing workers and are folded
-//! back in worklist order, so accounting and any surfaced error match
-//! the serial loop's. Second, per-tuple probes within a round are
+//! each preference query's one-time materialization is an independent
+//! unit — the round's missing materializations fan out over
+//! [`qp_exec::morsel_map`]'s work-stealing workers and are folded back
+//! in worklist order, so accounting and any surfaced error match the
+//! serial loop's. Second, the probes of a round's fresh tuples are
 //! independent: each round collects its fresh tuples serially (the
 //! dedup against `seen` is order-sensitive), slices them into
-//! `PROBE_CHUNK`-sized (256-tuple) items, and schedules the items as morsels
-//! under a `ppa.parallel_round` span — a skewed round rebalances by
-//! stealing instead of serializing behind the slowest contiguous chunk.
-//! On the row path each worker clones the prepared probes once
-//! ([`qp_exec::morsel_map_with`]'s per-worker state) and rebinds them in
-//! place per tuple; on the vectorized path workers share the
-//! materialized preference results read-only. Workers share the engine,
-//! database and guard immutably and return their results in input
-//! order, so a parallel round buffers exactly what a serial one would —
-//! answers are byte-identical. On a guard trip or fault the whole
-//! round's batch is discarded; every tuple of that round is bounded by
-//! the round's MEDI, which is also the cut's final emission bound, so
-//! the degraded answer still emits nothing it cannot prove the rank of.
-//!
-//! **Batched probes.** On the vectorized engine the per-tuple probe
-//! executions disappear entirely: the first round that needs to probe a
-//! preference materializes that preference query's *full* result once
-//! (`PrefResult`) — first row per tuple id, in plan output order, which
-//! is exactly the per-tuple `rows.first()` rule — and every later round
-//! probes it by hash lookup. When the materialized preference's own round
-//! comes up, the round replays the stored result instead of re-executing
-//! the query, so a complete run executes each preference query exactly
-//! once — the per-round work is pure in-memory lookups. Emission row
-//! fetches are still batched per burst through
-//! [`CompiledQuery::rebind_rowid_set`]: one set-fetch execution per
-//! multi-tuple burst, returning rows in listed-id order. `QP_ROW_ENGINE=1`
-//! falls back to per-tuple probes, which doubles as the parity oracle for
-//! the batched path.
+//! `PROBE_CHUNK`-sized (256-tuple) items, and schedules the items as
+//! morsels under a `ppa.parallel_round` span — a skewed round rebalances
+//! by stealing instead of serializing behind the slowest contiguous
+//! chunk. Workers share the materialized results, database and guard
+//! read-only and return their results in input order, so a parallel
+//! round buffers exactly what a serial one would — answers are
+//! byte-identical. On a guard trip or fault the whole round's batch is
+//! discarded; every tuple of that round is bounded by the round's MEDI,
+//! which is also the cut's final emission bound, so the degraded answer
+//! still emits nothing it cannot prove the rank of.
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use qp_exec::planner::CompiledQuery;
-use qp_exec::{morsel_map, morsel_map_with, Engine, ExecError, ExecStats, QueryGuard};
+use qp_exec::{morsel_map, Engine, ExecError, ExecStats, QueryGuard};
 use qp_sql::{builder, Query, Select, SelectItem, TableRef};
 use qp_storage::{Database, RelId, Row};
 
@@ -130,15 +122,16 @@ pub struct PpaStats {
     pub first_response: Option<Duration>,
     /// Total execution time.
     pub total: Duration,
-    /// Number of presence rounds evaluated (on the vectorized engine a
-    /// round may replay an already-materialized preference result rather
-    /// than re-execute its query).
+    /// Number of presence rounds evaluated (a round may replay an
+    /// already-materialized preference result rather than re-execute its
+    /// query).
     pub presence_queries: usize,
     /// Number of absence rounds evaluated (see `presence_queries`).
     pub absence_queries: usize,
-    /// Number of parameterized probe executions: one per remaining query
-    /// per tuple on the row path, one per preference — its one-time full
-    /// materialization — on the vectorized engine.
+    /// Number of preference queries executed in full to answer the
+    /// parameterized queries `Qiˢ(t)` / `Qiᴬ(t)`: at most one per selected
+    /// preference (its one-time materialization), 0 for results a
+    /// maintenance registry already held.
     pub parameterized_queries: usize,
 }
 
@@ -175,13 +168,8 @@ struct Probed {
     sat: Vec<(usize, f64)>,
     /// Absence preferences the tuple fails, with (non-positive) degrees.
     abs_failed: Vec<(usize, f64)>,
-    /// Parameterized queries executed for this tuple.
-    queries: usize,
-    /// Tuples covered by batched probe executions (0 on the per-tuple
-    /// path; the batched path reports chunk totals on its first tuple).
+    /// Tuple probes the chunk performed (reported on its first tuple).
     batched_tuples: usize,
-    /// Execution counters those queries accrued.
-    stats: ExecStats,
 }
 
 /// Fresh tuples per probe work item. Rounds slice their fresh tuples
@@ -204,75 +192,10 @@ fn chunked<T>(items: Vec<T>) -> Vec<Vec<T>> {
         .collect()
 }
 
-/// One worker's private clones of the prepared probe queries, rebound in
-/// place per tuple: `(presence probes, absence probes)`.
-type LocalProbes = (Vec<(usize, CompiledQuery, f64)>, Vec<(usize, CompiledQuery, f64)>);
-
-/// Clones the pristine prepared probes (compiled with the placeholder
-/// row id 0) for one worker — the per-worker `init` of the row path's
-/// probe fan-out, so plans are cloned once per *worker*, not per chunk
-/// or per tuple.
-fn clone_probes(
-    s_probe: &[(usize, &CompiledQuery, f64)],
-    a_probe: &[(usize, &CompiledQuery, f64)],
-) -> LocalProbes {
-    (
-        s_probe.iter().map(|(p, q, d)| (*p, (*q).clone(), *d)).collect(),
-        a_probe.iter().map(|(p, q, d)| (*p, (*q).clone(), *d)).collect(),
-    )
-}
-
-/// Evaluates the remaining parameterized queries for one chunk of fresh
-/// tuples, rebinding the worker's private probe clones (`probes`, built
-/// by [`clone_probes`]) in place per tuple — the per-tuple cost is
-/// running the probe, nothing else. The guard is shared — across
-/// threads its budget atomics stay global, so a parallel round cannot
-/// out-spend a serial one.
-fn probe_chunk(
-    engine: &Engine,
-    db: &Database,
-    guard: &QueryGuard,
-    first_rel: RelId,
-    chunk: Vec<(u64, f64)>,
-    probes: &mut LocalProbes,
-) -> Result<Vec<(u64, f64, Probed)>, ExecError> {
-    let (s_local, a_local) = probes;
-    let mut out = Vec::with_capacity(chunk.len());
-    for (tid, degree) in chunk {
-        let mut probed = Probed {
-            sat: Vec::new(),
-            abs_failed: Vec::new(),
-            queries: 0,
-            batched_tuples: 0,
-            stats: ExecStats::default(),
-        };
-        for (pref, q, d_plus) in s_local.iter_mut() {
-            probed.queries += 1;
-            q.rebind_rowid(first_rel, tid);
-            let rows = engine.execute_prepared_rows_guarded(db, q, &mut probed.stats, guard)?;
-            if let Some(r) = rows.first() {
-                let d = r[1].as_f64().unwrap_or(*d_plus);
-                probed.sat.push((*pref, d.max(0.0)));
-            }
-        }
-        for (pref, q, d_minus) in a_local.iter_mut() {
-            probed.queries += 1;
-            q.rebind_rowid(first_rel, tid);
-            let rows = engine.execute_prepared_rows_guarded(db, q, &mut probed.stats, guard)?;
-            if let Some(r) = rows.first() {
-                let d = r[1].as_f64().unwrap_or(*d_minus);
-                probed.abs_failed.push((*pref, d.min(0.0)));
-            }
-        }
-        out.push((tid, degree, probed));
-    }
-    Ok(out)
-}
-
 /// One preference query's full qualifying result, materialized at most
-/// once per run on the vectorized engine: first-occurrence `(tuple id,
-/// degree)` pairs — the degree is the plan's first row per id, the
-/// per-tuple path's `rows.first()` rule — plus a hash index over them.
+/// once per run: first-occurrence `(tuple id, degree)` pairs — the
+/// degree is the plan's first row per id, the row `Qiˢ(t)` / `Qiᴬ(t)`
+/// would return first — plus a hash index over them.
 /// Later rounds probe it by lookup instead of re-executing the preference
 /// query against each round's fresh tuples, and the preference's own
 /// round replays its query from `rows`, so a complete run executes each
@@ -296,10 +219,8 @@ pub(crate) struct PrefResult {
 }
 
 /// Executes one preference query in full (no rowid constraint) and
-/// materializes its [`PrefResult`]. Runs under the shared guard with the
-/// same accounting as the per-round probe executions it replaces, so a
-/// deadline or budget trip mid-materialization cuts the round exactly
-/// like a failed probe would.
+/// materializes its [`PrefResult`]. Runs under the shared guard, so a
+/// deadline or budget trip mid-materialization cuts the round.
 pub(crate) fn materialize_pref(
     engine: &Engine,
     db: &Database,
@@ -417,12 +338,10 @@ fn materialize_missing(
 
 /// Probes one chunk of fresh tuples against materialized preference
 /// results: pure hash lookups, no engine execution. Probe-major iteration
-/// in probe-list order reproduces the per-tuple path's `sat` /
-/// `abs_failed` orderings byte-for-byte, and the materialized first-row
-/// degrees match its `rows.first()` rule. The chunk's covered-tuple total
-/// rides on the first tuple (executions are counted by the caller at
-/// materialization time).
-fn probe_chunk_cached(
+/// in probe-list order records `sat` / `abs_failed` in probe-list order.
+/// The chunk's covered-tuple total rides on the first tuple (executions
+/// are counted by the caller at materialization time).
+fn probe_chunk(
     chunk: Vec<(u64, f64)>,
     s_probe: &[(usize, Arc<PrefResult>)],
     a_probe: &[(usize, Arc<PrefResult>)],
@@ -430,14 +349,7 @@ fn probe_chunk_cached(
     let mut out: Vec<(u64, f64, Probed)> = chunk
         .into_iter()
         .map(|(tid, degree)| {
-            let probed = Probed {
-                sat: Vec::new(),
-                abs_failed: Vec::new(),
-                queries: 0,
-                batched_tuples: 0,
-                stats: ExecStats::default(),
-            };
-            (tid, degree, probed)
+            (tid, degree, Probed { sat: Vec::new(), abs_failed: Vec::new(), batched_tuples: 0 })
         })
         .collect();
     if out.is_empty() {
@@ -528,10 +440,10 @@ pub fn ppa_guarded(
 }
 
 /// [`ppa_guarded`] with an optional materialization registry attached
-/// (see [`crate::answer::maint`]): on the vectorized engine every
-/// preference result is fetched from — or built into — the registry up
-/// front, so a steady-state run under write traffic replays incrementally
-/// maintained results instead of re-executing preference queries.
+/// (see [`crate::answer::maint`]): every preference result is fetched
+/// from — or built into — the registry up front, so a steady-state run
+/// under write traffic replays incrementally maintained results instead
+/// of re-executing preference queries.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ppa_run(
     db: &Database,
@@ -568,8 +480,8 @@ pub(crate) fn ppa_run(
     }
     let catalog = db.catalog();
     // Subquery generation: classification, selectivity-based ordering,
-    // and preparation of the S/A queries plus their parameterized
-    // (rebindable) versions — everything before the first phase runs.
+    // and construction of the S/A queries — everything before the first
+    // phase runs.
     let mut prepare_span = tracer.span("ppa.prepare");
     let infos = classify(db, engine, profile, selected);
 
@@ -603,8 +515,9 @@ pub(crate) fn ppa_run(
         }
     };
 
-    // --- per-tuple row fetch (prepared; avoids materializing the whole
-    // initial query when PPA only emits a slice of it) ------------------
+    // --- emission row fetch (prepared with a placeholder row id and
+    // rebound to each burst's ids; avoids materializing the whole initial
+    // query when PPA only emits a slice of it) ---------------------------
     let mut fetch = initial_select.clone();
     let mut fetch_items = vec![builder::item_as(builder::col(&first_binding, "rowid"), "qp_tid")];
     fetch_items.extend(fetch.items.iter().cloned());
@@ -614,12 +527,9 @@ pub(crate) fn ppa_run(
         builder::eq(builder::col(&first_binding, "rowid"), builder::int(0)),
     );
     let mut fetch_prepared = engine.prepare(db, &Query::from_select(fetch))?;
-    // A second copy of the fetch plan for multi-tuple emission bursts on
-    // the vectorized engine, rebound to the burst's rowid set per flush.
-    let mut fetch_prepared_set = fetch_prepared.clone();
     let columns: Vec<String> = fetch_prepared.columns.iter().skip(1).cloned().collect();
 
-    // --- build + prepare the S and A queries ---------------------------
+    // --- build the S and A queries --------------------------------------
     let projection = |binding: &str| {
         let b = binding.to_string();
         move |_anchor: &str, degree: qp_sql::Expr| -> Vec<SelectItem> {
@@ -639,38 +549,15 @@ pub(crate) fn ppa_run(
         let proj = projection(&first_binding);
         a_queries.push(failure_select(catalog, initial_select, profile, &selected[i], &infos[i], &proj)?);
     }
-    // prepared parameterized versions with a placeholder row id
-    let prepare_bound = |engine: &Engine, s: &Select| -> Result<CompiledQuery, PrefError> {
-        let mut sq = s.clone();
-        merge_filter(
-            &mut sq,
-            builder::eq(builder::col(&first_binding, "rowid"), builder::int(0)),
-        );
-        Ok(engine.prepare(db, &Query::from_select(sq))?)
-    };
-    let mut s_prepared: Vec<CompiledQuery> = Vec::with_capacity(s_queries.len());
-    for s in &s_queries {
-        s_prepared.push(prepare_bound(engine, s)?);
-    }
-    let mut a_prepared: Vec<CompiledQuery> = Vec::with_capacity(a_queries.len());
-    for a in &a_queries {
-        a_prepared.push(prepare_bound(engine, a)?);
-    }
     prepare_span.attr("presence_queries", s_order.len());
     prepare_span.attr("absence_queries", a_order.len());
     prepare_span.finish();
     let mut estats = ExecStats::default();
 
     let mut stats = PpaStats::default();
-    // Tuples covered by batched probe executions (metrics only; 0 on the
-    // row-engine per-tuple path).
+    // Tuple probes answered from materialized results (metrics only).
     let mut probe_batch_tuples: u64 = 0;
-    // The vectorized engine materializes each preference query's full
-    // result at most once and probes it by hash lookup; the row engine is
-    // the per-tuple parity oracle.
-    let probes_batched = !engine.row_engine();
-    // Materialized preference results, indexed by preference index; only
-    // populated on the vectorized path.
+    // Materialized preference results, indexed by preference index.
     let mut pref_results: Vec<Option<Arc<PrefResult>>> = vec![None; selected.len()];
     let ranking = *ranking;
     let d_plus = |i: usize| infos[i].d_plus;
@@ -687,14 +574,13 @@ pub(crate) fn ppa_run(
     let mut emitted: Vec<PersonalizedTuple> = Vec::new();
     let mut first_response: Option<Duration> = None;
     // Emits every buffered tuple whose doi clears the MEDI bound,
-    // fetching its projected rows via the prepared row-fetch query. The
-    // output budget is charged as each tuple is popped (so a budget trip
-    // still emits the exact prefix the per-tuple path would). On the
-    // vectorized engine a multi-tuple burst is fetched with one rowid-set
-    // execution — the set fetch returns rows in listed-id order, so the
-    // first row per tuple id is byte-identical to the per-tuple fetch.
-    // Evaluates to `Option<ExecError>`: `Some` when the guard tripped (or
-    // a fault fired) mid-emission, with unfetched tuples left buffered.
+    // fetching the burst's projected rows with one rowid-set execution of
+    // the prepared row-fetch query (rows come back in listed-id order; the
+    // first row per tuple id is the tuple's row). The output budget is
+    // charged as each tuple is popped, so a budget trip emits an exact
+    // ranked prefix. Evaluates to `Option<ExecError>`: `Some` when the
+    // guard tripped (or a fault fired) mid-emission, with unfetched
+    // tuples left buffered.
     macro_rules! emit_ready {
         ($medi:expr) => {{
             let medi: f64 = $medi;
@@ -715,16 +601,10 @@ pub(crate) fn ppa_run(
                 }
                 ready.push(rec);
             }
-            if probes_batched && ready.len() > 1 {
-                // one set fetch for the whole burst
+            if !ready.is_empty() {
                 let ids: Arc<Vec<u64>> = Arc::new(ready.iter().map(|r| r.tid).collect());
-                fetch_prepared_set.rebind_rowid_set(first_rel, &ids);
-                match engine.execute_prepared_rows_guarded(
-                    db,
-                    &fetch_prepared_set,
-                    &mut estats,
-                    guard,
-                ) {
+                fetch_prepared.rebind_rowid_set(first_rel, &ids);
+                match engine.execute_prepared_rows_guarded(db, &fetch_prepared, &mut estats, guard) {
                     Ok(rows) => {
                         let mut by_tid: TidMap<Row> = TidMap::with_capacity_and_hasher(ready.len(), TidBuild::default());
                         for r in rows {
@@ -759,42 +639,6 @@ pub(crate) fn ppa_run(
                         }
                         emit_err = Some(e);
                     }
-                }
-            } else {
-                for rec in ready.drain(..) {
-                    if emit_err.is_some() {
-                        // a fetch failed earlier in the burst; re-buffer
-                        buffered.push(rec);
-                        continue;
-                    }
-                    fetch_prepared.rebind_rowid(first_rel, rec.tid);
-                    let row = match engine.execute_prepared_rows_guarded(
-                        db,
-                        &fetch_prepared,
-                        &mut estats,
-                        guard,
-                    ) {
-                        Ok(rs) => rs
-                            .into_iter()
-                            .next()
-                            .map(|mut r| {
-                                r.remove(0);
-                                r
-                            })
-                            .unwrap_or_default(),
-                        Err(e) => {
-                            buffered.push(rec);
-                            emit_err = Some(e);
-                            continue;
-                        }
-                    };
-                    emitted.push(PersonalizedTuple {
-                        tuple_id: Some(rec.tid),
-                        row,
-                        doi: rec.doi,
-                        satisfied: rec.satisfied,
-                        failed: rec.failed,
-                    });
                 }
             }
             emit_err
@@ -836,7 +680,7 @@ pub(crate) fn ppa_run(
         tid_rel: first_rel,
         tid_binding: &first_binding,
     });
-    if probes_batched && reg_ctx.is_some() {
+    if reg_ctx.is_some() {
         let mut missing: Vec<(usize, &Select, f64)> = Vec::new();
         for (sj, &p) in s_order.iter().enumerate() {
             if pref_results[p].is_none() {
@@ -883,7 +727,7 @@ pub(crate) fn ppa_run(
         // earlier round's probes replays it instead of re-executing the
         // query; first-occurrence order and degrees are those the
         // execution produced.
-        let cached_round = if probes_batched { pref_results[pref_i].clone() } else { None };
+        let cached_round = pref_results[pref_i].clone();
         // Fresh tuples are collected serially (dedup against `seen`), then
         // probed — across worker threads when parallelism allows.
         let mut fresh: Vec<(u64, f64)> = Vec::new();
@@ -916,13 +760,12 @@ pub(crate) fn ppa_run(
                 fresh.push((tid, row[1].as_f64().unwrap_or(d_plus(pref_i))));
             }
         }
-        // Vectorized path: materialize any not-yet-built later presence /
-        // absence results — one full execution each, replacing every
-        // per-round, per-tuple probe of that preference for the rest of
-        // the run.
-        let mut s_probe_c: Vec<(usize, Arc<PrefResult>)> = Vec::new();
-        let mut a_probe_c: Vec<(usize, Arc<PrefResult>)> = Vec::new();
-        if probes_batched && !fresh.is_empty() {
+        // Materialize any not-yet-built later presence / absence results —
+        // one full execution each answers every probe of that preference
+        // for the rest of the run.
+        let mut s_probe: Vec<(usize, Arc<PrefResult>)> = Vec::new();
+        let mut a_probe: Vec<(usize, Arc<PrefResult>)> = Vec::new();
+        if !fresh.is_empty() {
             // Worklist of missing materializations in serial execution
             // order; each is an independent full query, so they fan out
             // over the morsel workers.
@@ -951,10 +794,10 @@ pub(crate) fn ppa_run(
                 break 'presence;
             }
             for &p in s_order.iter().skip(si + 1) {
-                s_probe_c.push((p, Arc::clone(pref_results[p].as_ref().expect("materialized"))));
+                s_probe.push((p, Arc::clone(pref_results[p].as_ref().expect("materialized"))));
             }
             for &p in &a_order {
-                a_probe_c.push((p, Arc::clone(pref_results[p].as_ref().expect("materialized"))));
+                a_probe.push((p, Arc::clone(pref_results[p].as_ref().expect("materialized"))));
             }
         }
         let workers = engine.parallelism().min(fresh.len());
@@ -966,30 +809,10 @@ pub(crate) fn ppa_run(
             sp.attr("workers", workers);
             sp
         });
-        let shared: &Engine = engine;
-        let (probed, pstats) = if probes_batched {
-            morsel_map(chunked(fresh), workers, |_, chunk| {
-                Ok::<_, ExecError>(probe_chunk_cached(chunk, &s_probe_c, &a_probe_c))
-            })
-        } else {
-            // later presence queries plus all absence queries, rebound per
-            // tuple; each worker clones the prepared probes once
-            let s_probe: Vec<(usize, &CompiledQuery, f64)> = s_order
-                .iter()
-                .enumerate()
-                .skip(si + 1)
-                .map(|(sj, &p)| (p, &s_prepared[sj], d_plus(p)))
-                .collect();
-            let a_probe: Vec<(usize, &CompiledQuery, f64)> =
-                a_order.iter().enumerate().map(|(aj, &p)| (p, &a_prepared[aj], d_minus(p))).collect();
-            morsel_map_with(
-                chunked(fresh),
-                workers,
-                || clone_probes(&s_probe, &a_probe),
-                |probes, _, chunk| probe_chunk(shared, db, guard, first_rel, chunk, probes),
-            )
-        };
-        shared.note_pool(pstats);
+        let (probed, pstats) = morsel_map(chunked(fresh), workers, |_, chunk| {
+            Ok::<_, ExecError>(probe_chunk(chunk, &s_probe, &a_probe))
+        });
+        engine.note_pool(pstats);
         drop(par_span);
         let probed: Vec<(u64, f64, Probed)> = match probed {
             Ok(p) => p.into_iter().flatten().collect(),
@@ -1003,9 +826,7 @@ pub(crate) fn ppa_run(
             }
         };
         for (tid, degree, p) in probed {
-            stats.parameterized_queries += p.queries;
             probe_batch_tuples += p.batched_tuples as u64;
-            estats.merge(&p.stats);
             // Satisfied presence prefs: this round's plus the probe hits;
             // a probe records each pref at most once, and every recorded
             // absence pref belongs to `a_order`, so the counts below are
@@ -1088,7 +909,7 @@ pub(crate) fn ppa_run(
             stats.absence_queries += 1;
             // Replay a materialized result when an earlier round's probes
             // already executed this preference query in full.
-            let cached_round = if probes_batched { pref_results[pref_i].clone() } else { None };
+            let cached_round = pref_results[pref_i].clone();
             let mut fresh: Vec<(u64, f64)> = Vec::new();
             if let Some(c) = &cached_round {
                 for &(tid, d) in &c.rows {
@@ -1132,10 +953,10 @@ pub(crate) fn ppa_run(
                     fresh.push((tid, row[1].as_f64().unwrap_or(d_minus(pref_i))));
                 }
             }
-            // Vectorized path: materialize any remaining absence results
-            // not built during the presence stage.
-            let mut a_probe_c: Vec<(usize, Arc<PrefResult>)> = Vec::new();
-            if probes_batched && !fresh.is_empty() {
+            // Materialize any remaining absence results not built during
+            // the presence stage.
+            let mut a_probe: Vec<(usize, Arc<PrefResult>)> = Vec::new();
+            if !fresh.is_empty() {
                 let mut missing: Vec<(usize, &Select, f64)> = Vec::new();
                 for (aj, &p) in a_order.iter().enumerate().skip(ai + 1) {
                     if pref_results[p].is_none() {
@@ -1156,8 +977,7 @@ pub(crate) fn ppa_run(
                     break 'absence;
                 }
                 for &p in a_order.iter().skip(ai + 1) {
-                    a_probe_c
-                        .push((p, Arc::clone(pref_results[p].as_ref().expect("materialized"))));
+                    a_probe.push((p, Arc::clone(pref_results[p].as_ref().expect("materialized"))));
                 }
             }
             let workers = engine.parallelism().min(fresh.len());
@@ -1169,28 +989,10 @@ pub(crate) fn ppa_run(
                 sp.attr("workers", workers);
                 sp
             });
-            let shared: &Engine = engine;
-            let (probed, pstats) = if probes_batched {
-                morsel_map(chunked(fresh), workers, |_, chunk| {
-                    Ok::<_, ExecError>(probe_chunk_cached(chunk, &[], &a_probe_c))
-                })
-            } else {
-                // remaining absence queries, rebound per tuple; each
-                // worker clones the prepared probes once
-                let a_probe: Vec<(usize, &CompiledQuery, f64)> = a_order
-                    .iter()
-                    .enumerate()
-                    .skip(ai + 1)
-                    .map(|(aj, &p)| (p, &a_prepared[aj], d_minus(p)))
-                    .collect();
-                morsel_map_with(
-                    chunked(fresh),
-                    workers,
-                    || clone_probes(&[], &a_probe),
-                    |probes, _, chunk| probe_chunk(shared, db, guard, first_rel, chunk, probes),
-                )
-            };
-            shared.note_pool(pstats);
+            let (probed, pstats) = morsel_map(chunked(fresh), workers, |_, chunk| {
+                Ok::<_, ExecError>(probe_chunk(chunk, &[], &a_probe))
+            });
+            engine.note_pool(pstats);
             drop(par_span);
             let probed: Vec<(u64, f64, Probed)> = match probed {
                 Ok(p) => p.into_iter().flatten().collect(),
@@ -1200,9 +1002,7 @@ pub(crate) fn ppa_run(
                 }
             };
             for (tid, d0, p) in probed {
-                stats.parameterized_queries += p.queries;
                 probe_batch_tuples += p.batched_tuples as u64;
-                estats.merge(&p.stats);
                 // This round's pref plus the probe hits are the failed
                 // absence prefs, each recorded at most once and all in
                 // `a_order`, so the satisfied count needs no set.
@@ -1367,8 +1167,7 @@ pub(crate) fn ppa_run(
     metrics.counter("ppa.presence_queries").add(stats.presence_queries as u64);
     metrics.counter("ppa.absence_queries").add(stats.absence_queries as u64);
     metrics.counter("ppa.parameterized_queries").add(stats.parameterized_queries as u64);
-    // Tuples covered by batched probe executions; stays 0 under
-    // `QP_ROW_ENGINE=1`, where every probe is per-tuple.
+    // Tuple probes answered from materialized preference results.
     metrics.counter("ppa.probe.batch_size").add(probe_batch_tuples);
     metrics.counter("ppa.emitted").add(emitted.len() as u64);
     // Registered unconditionally so a complete run reports `ppa.cuts = 0`
@@ -1381,7 +1180,3 @@ pub(crate) fn ppa_run(
 
     Ok((PersonalizedAnswer { columns, tuples: emitted }, stats, degradation))
 }
-
-// `RelId` is used in the prepared-query rebinds above.
-#[allow(unused)]
-fn _rel_id_marker(_r: RelId) {}

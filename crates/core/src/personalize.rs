@@ -494,8 +494,7 @@ impl<'db> Personalizer<'db> {
     }
 
     /// Attaches a materialization registry (builder-style): subsequent
-    /// PPA runs on the vectorized engine fetch every preference result
-    /// from it up front and register what they had to build, so
+    /// PPA runs fetch every preference result from it up front and register what they had to build, so
     /// steady-state runs under [`crate::Maintainer`]-published write
     /// traffic replay incrementally maintained results instead of
     /// re-executing preference queries. Share the registry of the

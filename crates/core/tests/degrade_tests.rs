@@ -13,6 +13,10 @@ use qp_core::{
     Personalizer, Profile, Ranking, SelectedPreference,
 };
 use qp_exec::{CancelToken, Engine, QueryGuard};
+// Every test holds a `FailScenario` (a no-op without the `failpoints`
+// feature): failpoints are process-global, so a sibling's armed fault
+// must not fire inside a test that expects a clean run.
+use qp_exec::failpoint::FailScenario;
 use qp_sql::{parse_query, Query};
 use qp_storage::{Attribute, DataType, Database, Value};
 
@@ -128,6 +132,7 @@ fn assert_ranked_prefix(
 
 #[test]
 fn expired_deadline_degrades_to_ok() {
+    let _s = FailScenario::setup();
     let (db, profile, initial, selected) = setup();
     let mut engine = Engine::new();
     let ranking = Ranking::default();
@@ -147,6 +152,7 @@ fn expired_deadline_degrades_to_ok() {
 
 #[test]
 fn output_budget_yields_exact_ranked_prefix() {
+    let _s = FailScenario::setup();
     let (db, profile, initial, selected) = setup();
     let ranking = Ranking::default();
     let mut engine = Engine::new();
@@ -175,6 +181,7 @@ fn output_budget_yields_exact_ranked_prefix() {
 
 #[test]
 fn cancellation_degrades_to_ok() {
+    let _s = FailScenario::setup();
     let (db, profile, initial, selected) = setup();
     let mut engine = Engine::new();
     let token = CancelToken::new();
@@ -193,6 +200,7 @@ fn cancellation_degrades_to_ok() {
 
 #[test]
 fn unlimited_guard_reports_complete() {
+    let _s = FailScenario::setup();
     let (db, profile, initial, selected) = setup();
     let mut engine = Engine::new();
     let (answer, _stats, degradation) = ppa_guarded(
@@ -214,6 +222,7 @@ fn unlimited_guard_reports_complete() {
 
 #[test]
 fn spa_falls_back_to_plain_query_under_budget() {
+    let _s = FailScenario::setup();
     let (db, profile, _initial, _selected) = setup();
     // measure what the plain query alone costs in intermediate rows…
     let engine = Engine::new();
@@ -249,6 +258,7 @@ fn spa_falls_back_to_plain_query_under_budget() {
 
 #[test]
 fn spa_without_fallback_surfaces_the_error() {
+    let _s = FailScenario::setup();
     let (db, profile, _initial, _selected) = setup();
     let query = parse_query("select title from MOVIE").unwrap();
     let guard = QueryGuard::builder().max_intermediate_rows(5).build();
@@ -268,6 +278,7 @@ fn spa_without_fallback_surfaces_the_error() {
 
 #[test]
 fn ppa_personalizer_reports_degradation() {
+    let _s = FailScenario::setup();
     let (db, profile, _initial, _selected) = setup();
     let query = parse_query("select title from MOVIE").unwrap();
     let guard = QueryGuard::builder().max_output_rows(2).build();

@@ -70,6 +70,10 @@ fn counter(p: &Personalizer<'_>, name: &str) -> u64 {
 fn transient_fault_is_retried_and_counted() {
     let db = small_db();
     let profile = profile(&db);
+    // Held before the reference run too: failpoints are process-global,
+    // and a sibling test's armed `spa.execute` must not fire (and be
+    // consumed) inside the fault-free reference.
+    let _scenario = FailScenario::setup();
 
     // Fault-free reference answer first.
     let reference = {
@@ -81,7 +85,6 @@ fn transient_fault_is_retried_and_counted() {
             .answer
     };
 
-    let _scenario = FailScenario::setup();
     // SPA's execute site fails exactly once then heals: the shape of a
     // transient fault. Without a retry policy this run would surface a
     // typed error; with one, attempt #2 must succeed.

@@ -60,7 +60,7 @@ impl NodeStats {
         self.index_probes.load(Ordering::Relaxed)
     }
 
-    /// Columnar batches the node emitted (0 on the row path).
+    /// Columnar batches the node emitted.
     pub fn batches(&self) -> u64 {
         self.batches.load(Ordering::Relaxed)
     }

@@ -1,6 +1,6 @@
-//! Columnar batches and the vectorized (batch-at-a-time) operator path.
+//! Columnar batches and the vectorized (batch-at-a-time) operators.
 //!
-//! The default execution engine moves data in fixed-capacity columnar
+//! The execution engine moves data in fixed-capacity columnar
 //! [`Batch`]es instead of one `Vec<Value>` row at a time. A batch is a
 //! set of column vectors plus an optional *selection vector* — the
 //! ascending positions of live rows — so filters narrow a batch without
@@ -8,10 +8,11 @@
 //! view of the stored rows and only materialize survivors (*late
 //! materialization*); joins probe a whole batch per guard poll.
 //!
-//! Semantics are identical to the row path in `plan.rs` (retained behind
-//! the `QP_ROW_ENGINE=1` toggle as the parity oracle): same operators,
-//! same row order, same `[rowid, cols…]` layout, byte-identical results.
-//! The two differences are granularity, not behavior:
+//! This is the only execution path. Its results are checked byte for
+//! byte against a serial row-at-a-time reference interpreter of the same
+//! plans, which lives with the tests (`tests/support/row_oracle.rs`):
+//! same operators, same row order, same `[rowid, cols…]` layout. Two
+//! things are batch-granular rather than row-granular:
 //!
 //! * [`crate::guard::QueryGuard`] budgets are charged per batch flush
 //!   rather than per row, so a budget can overshoot by at most
@@ -19,20 +20,20 @@
 //!   test). Deadline/cancellation polling stays at least once per batch,
 //!   and per pair inside nested-loop products.
 //! * Batch counts (`exec.batch.count` / `exec.batch.rows`, and
-//!   `batches=` in `EXPLAIN ANALYZE`) exist only on this path.
+//!   `batches=` in `EXPLAIN ANALYZE`).
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 use qp_storage::{Database, Row, RowId, Value};
 
-use crate::engine::{sort_and_limit, source_key_exprs};
 use crate::error::ExecError;
 use crate::expr::{ColView, PhysExpr};
 use crate::guard::QueryGuard;
 use crate::plan::{charge, fail_point, ExecCtx, Plan, RowIdFetch};
-use crate::planner::CompiledQuery;
+use crate::planner::{CompiledQuery, KeySource};
 
 /// Rows a batch holds before the producing operator flushes it
 /// downstream; also the granularity at which guard budgets are charged
@@ -329,10 +330,11 @@ fn rows_to_batches(rows: Vec<Row>) -> Vec<Batch> {
     out
 }
 
-/// Runs `plan` as node `node` of the enclosing profile, producing
-/// batches. Mirrors `Plan::run_node`: per-node timing only when a
-/// profile is attached, plus batch counts for the context totals and the
-/// node's `batches=` annotation.
+/// Runs `plan` as node `node` of the enclosing profile (a pre-order
+/// position, see [`Plan::node_count`]), producing batches. Per-node
+/// timing is taken only when a profile is attached, so the unprofiled
+/// path pays a single branch per node; batch counts feed the context
+/// totals and the node's `batches=` annotation.
 pub(crate) fn run_batched_node(
     plan: &Plan,
     db: &Database,
@@ -426,7 +428,7 @@ fn run_batched_inner(
                     // (and stats, on success) match the serial loop's.
                     // Tombstoned slots are masked per chunk (`dead` is
                     // `None` on the common delete-free path), so scanned
-                    // counts and output match the row engine's live-only
+                    // counts and output match the table's live-only
                     // iteration byte for byte.
                     let rows = table.len();
                     let dead = table.tombstones();
@@ -569,9 +571,8 @@ fn run_batched_inner(
                 for lr in lb.live() {
                     for rb in &rbs {
                         for rr in rb.live() {
-                            // polled per pair like the row path:
-                            // cancellation must stop the cross product
-                            // inside a single batch
+                            // polled per pair: cancellation must stop
+                            // the cross product inside a single batch
                             ctx.guard.check()?;
                             sink.cur().push_concat(lb, lr, rb, rr);
                             sink.note_row(ctx.guard)?;
@@ -603,7 +604,7 @@ fn run_batched_inner(
 /// tombstoned slots. With no tombstones in the chunk the view borrows
 /// the slice directly (zero-copy fast path); otherwise live rows are
 /// gathered with their true row ids, so downstream operators (and the
-/// scanned-row counts) see exactly the rows the row engine's live-only
+/// scanned-row counts) see exactly the rows the table's live-only
 /// iteration yields. Returns `None` when every slot in the chunk is
 /// dead.
 fn live_chunk_view<'a>(
@@ -708,7 +709,7 @@ fn materialize_scan(view: &ScanView<'_>, width: usize, n: usize, live: Option<&[
 /// Batched hash join. The build table maps key → `(batch, row)` match
 /// positions in global ascending order (the parallel build treats every
 /// build batch as one work item and merges per-batch maps in batch
-/// order, exactly like the row path partitions rows). Probing walks a
+/// order). Probing walks a
 /// whole batch per guard poll; the parallel probe schedules the probe
 /// batches as morsels and reassembles outputs in input order, so the
 /// flattened row sequence is identical to the serial one (batch
@@ -836,12 +837,11 @@ fn probe_batch(
     Ok(())
 }
 
-/// The batch engine's query driver: branches → aggregation → having →
-/// projection → distinct → shared ORDER BY/LIMIT. The final stage
-/// (`sort_and_limit`) is shared with the row path, so ordering and
-/// tie-breaks are identical by construction. Aggregation reuses the
+/// The engine's query driver: branches → aggregation → having →
+/// projection → distinct → ORDER BY/LIMIT. Aggregation runs the
 /// row-shaped `AggSpec::run` over flattened batches — grouping is not on
-/// the hot path this engine optimizes.
+/// the hot path this engine optimizes. Uncorrelated `IN` sub-queries
+/// re-enter here at plan time with a serial context.
 pub(crate) fn run_compiled_batched_at(
     db: &Database,
     compiled: &CompiledQuery,
@@ -916,6 +916,74 @@ pub(crate) fn run_compiled_batched_at(
         rows.extend(branch_rows);
     }
     Ok(sort_and_limit(compiled, rows, skeys))
+}
+
+/// The ORDER BY Source-key expressions, in key order.
+fn source_key_exprs(compiled: &CompiledQuery) -> Vec<&PhysExpr> {
+    compiled
+        .order
+        .iter()
+        .filter_map(|k| match &k.source {
+            KeySource::Source(e) => Some(e),
+            KeySource::Output(_) => None,
+        })
+        .collect()
+}
+
+/// Final stage: ORDER BY + LIMIT over projected rows. `skeys` holds one
+/// extracted column per Source order key (see [`source_key_exprs`]);
+/// Output keys read the projected rows directly. Sorts a permutation of
+/// row indices — keys are compared by reference, so no `Value` is cloned
+/// per row — with the deterministic tie-break on original row position,
+/// then reorders once.
+fn sort_and_limit(compiled: &CompiledQuery, mut rows: Vec<Row>, mut skeys: Vec<Vec<Value>>) -> Vec<Row> {
+    if !compiled.order.is_empty() && rows.len() > 1 {
+        // Pad short source-key columns with NULLs (multi-branch queries
+        // never retain sources; the planner rejects DISTINCT + Source
+        // keys, so on the retained path lengths already match).
+        for col in &mut skeys {
+            col.resize(rows.len(), Value::Null);
+        }
+        enum KeyCol {
+            Out(usize),
+            Src(usize),
+        }
+        let mut cols = Vec::with_capacity(compiled.order.len());
+        let mut s = 0usize;
+        for k in &compiled.order {
+            match &k.source {
+                KeySource::Output(c) => cols.push(KeyCol::Out(*c)),
+                KeySource::Source(_) => {
+                    cols.push(KeyCol::Src(s));
+                    s += 1;
+                }
+            }
+        }
+        let mut idx: Vec<usize> = (0..rows.len()).collect();
+        idx.sort_unstable_by(|&a, &b| {
+            for (kc, spec) in cols.iter().zip(&compiled.order) {
+                let (va, vb) = match kc {
+                    KeyCol::Out(c) => (&rows[a][*c], &rows[b][*c]),
+                    KeyCol::Src(j) => (&skeys[*j][a], &skeys[*j][b]),
+                };
+                let ord = va.total_cmp(vb);
+                let ord = if spec.desc { ord.reverse() } else { ord };
+                if ord != Ordering::Equal {
+                    return ord;
+                }
+            }
+            a.cmp(&b) // stable tie-break on original position
+        });
+        let mut reordered = Vec::with_capacity(rows.len());
+        for &i in &idx {
+            reordered.push(std::mem::take(&mut rows[i]));
+        }
+        rows = reordered;
+    }
+    if let Some(n) = compiled.limit {
+        rows.truncate(n as usize);
+    }
+    rows
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! `IN`-sets may no longer match the data — simply stop being found and
 //! age out of their shards. Values are `Arc<CompiledQuery>`: execution
 //! only needs `&CompiledQuery`, and callers that must mutate (PPA's
-//! `rebind_rowid`) clone a private copy.
+//! `rebind_rowid_set`) clone a private copy.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};

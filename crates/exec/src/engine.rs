@@ -1,21 +1,19 @@
 //! The execution engine: ties parser, planner, and operators together.
 
-use std::cmp::Ordering;
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
 use qp_obs::{Counter, LatencyHistogram, MetricsRegistry, Tracer};
 use qp_sql::{parse_query, Query};
-use qp_storage::{Database, Row, Value};
+use qp_storage::{Database, Row};
 
 use crate::analyze::PlanProfile;
 use crate::cache::PlanCache;
 use crate::error::ExecError;
-use crate::functions::{AggState, FunctionRegistry};
+use crate::functions::FunctionRegistry;
 use crate::guard::QueryGuard;
 use crate::plan::ExecCtx;
-use crate::planner::{CompiledQuery, KeySource, Planner};
+use crate::planner::{CompiledQuery, Planner};
 use crate::result::ResultSet;
 
 /// Counters accumulated while planning and executing a query. Benchmarks
@@ -71,9 +69,6 @@ pub struct Engine {
     parallelism: usize,
     /// Compiled-plan cache; `None` when disabled.
     plan_cache: Option<Arc<PlanCache>>,
-    /// Route execution through the legacy row-at-a-time operator path
-    /// instead of the vectorized batch engine (the parity oracle).
-    row_engine: bool,
 }
 
 /// Handles into the engine's [`MetricsRegistry`], fetched once at
@@ -83,7 +78,8 @@ struct EngineCounters {
     /// `exec.queries`: queries executed through the plan-and-run paths.
     queries: Arc<Counter>,
     /// `exec.prepared_execs`: executions of pre-compiled queries (PPA's
-    /// per-tuple probes live here).
+    /// preference-query materializations and emission row fetches, and
+    /// the maintenance layer's delta re-evaluations).
     prepared_execs: Arc<Counter>,
     /// `exec.rows_scanned`: base-table rows touched, all queries.
     rows_scanned: Arc<Counter>,
@@ -99,8 +95,7 @@ struct EngineCounters {
     plan_cache_hits: Arc<Counter>,
     /// `cache.plan.misses`: plan-cache lookups that had to compile.
     plan_cache_misses: Arc<Counter>,
-    /// `exec.batch.count`: columnar batches produced by the vectorized
-    /// path (0 while `QP_ROW_ENGINE` routes through the row path).
+    /// `exec.batch.count`: columnar batches produced by the operators.
     batch_count: Arc<Counter>,
     /// `exec.batch.rows`: live rows carried by those batches.
     batch_rows: Arc<Counter>,
@@ -153,9 +148,7 @@ impl Engine {
     /// Concurrency defaults come from the environment so test/CI legs can
     /// sweep configurations without code changes: `QP_PARALLELISM` sets
     /// the worker count (default 1 = serial), `QP_DISABLE_PLAN_CACHE=1`
-    /// starts the engine without a plan cache, `QP_ROW_ENGINE=1` routes
-    /// execution through the legacy row-at-a-time path (the vectorized
-    /// engine's parity oracle).
+    /// starts the engine without a plan cache.
     pub fn new() -> Self {
         let metrics = Arc::new(MetricsRegistry::new());
         let counters = EngineCounters::new(&metrics);
@@ -176,29 +169,14 @@ impl Engine {
             counters,
             parallelism,
             plan_cache,
-            row_engine: env_flag("QP_ROW_ENGINE"),
         }
-    }
-
-    /// Switches between the vectorized batch engine (default, `false`)
-    /// and the legacy row-at-a-time path (`true`). The row path is kept
-    /// as the parity oracle: both produce byte-identical results, and
-    /// the parity suites run every query on both. Also selects PPA's
-    /// probe strategy (batched IN-set probes vs. per-tuple point probes).
-    pub fn set_row_engine(&mut self, enabled: bool) {
-        self.row_engine = enabled;
-    }
-
-    /// Whether the legacy row-at-a-time path is active (see
-    /// [`Engine::set_row_engine`] and the `QP_ROW_ENGINE` env toggle).
-    pub fn row_engine(&self) -> bool {
-        self.row_engine
     }
 
     /// Sets the number of worker threads data-parallel operators (hash
     /// join build/probe) and callers that consult
-    /// [`Engine::parallelism`] (PPA's per-round probes) may use. 1 means
-    /// fully serial; values are clamped to at least 1.
+    /// [`Engine::parallelism`] (PPA's preference materializations and
+    /// per-round probes) may use. 1 means fully serial; values are
+    /// clamped to at least 1.
     pub fn set_parallelism(&mut self, parallelism: usize) {
         self.parallelism = parallelism.max(1);
     }
@@ -295,7 +273,7 @@ impl Engine {
         let t0 = Instant::now();
         self.counters.queries.inc();
         let (compiled, mut stats) = self.compile_cached(db, query, guard)?;
-        let rows = self.run(db, &compiled, &mut stats, guard)?;
+        let rows = self.run(db, &compiled, &mut stats, guard, None)?;
         guard.charge_output(rows.len() as u64)?;
         self.counters.note(&stats, rows.len() as u64, t0.elapsed());
         span.attr("rows", rows.len());
@@ -318,7 +296,7 @@ impl Engine {
         let t0 = Instant::now();
         self.counters.queries.inc();
         let (compiled, mut stats) = self.compile_cached(db, query, guard)?;
-        let rows = self.run(db, &compiled, &mut stats, guard)?;
+        let rows = self.run(db, &compiled, &mut stats, guard, None)?;
         self.counters.note(&stats, rows.len() as u64, t0.elapsed());
         span.attr("rows", rows.len());
         span.attr("rows_scanned", stats.rows_scanned);
@@ -334,7 +312,7 @@ impl Engine {
     /// Compiles through the plan cache, returning a shared handle:
     /// repeated preparation of the same (normalized) query text against
     /// an unchanged database skips parse+plan entirely. Callers that must
-    /// mutate the plan ([`CompiledQuery::rebind_rowid`]) clone the
+    /// mutate the plan ([`CompiledQuery::rebind_rowid_set`]) clone the
     /// `CompiledQuery` out of the `Arc`. Falls back to a plain
     /// [`Engine::prepare`] when the cache is disabled.
     pub fn prepare_cached(
@@ -373,37 +351,20 @@ impl Engine {
     }
 
     /// Runs a compiled query with this engine's configured parallelism,
-    /// dispatching to the vectorized batch path unless the row engine is
-    /// selected.
+    /// recording per-node stats into `profile` when one is attached, and
+    /// folds the execution's batch and pool-scheduling counters into the
+    /// engine totals.
     fn run(
         &self,
         db: &Database,
         compiled: &CompiledQuery,
         stats: &mut ExecStats,
         guard: &QueryGuard,
+        profile: Option<&PlanProfile>,
     ) -> Result<Vec<Row>, ExecError> {
-        let mut ctx = ExecCtx {
-            stats,
-            guard,
-            profile: None,
-            parallelism: self.parallelism,
-            batch_count: 0,
-            batch_rows: 0,
-            pool_morsels: 0,
-            pool_steals: 0,
-        };
-        let rows = if self.row_engine {
-            run_compiled_at(db, compiled, &mut ctx, 0)?
-        } else {
-            crate::batch::run_compiled_batched_at(db, compiled, &mut ctx, 0)?
-        };
-        self.note_batches(&ctx);
-        Ok(rows)
-    }
-
-    /// Folds one execution's batch and pool-scheduling counters into the
-    /// engine totals.
-    fn note_batches(&self, ctx: &ExecCtx<'_>) {
+        let mut ctx = ExecCtx::new(stats, guard, self.parallelism);
+        ctx.profile = profile;
+        let rows = crate::batch::run_compiled_batched_at(db, compiled, &mut ctx, 0)?;
         if ctx.batch_count > 0 {
             self.counters.batch_count.add(ctx.batch_count);
             self.counters.batch_rows.add(ctx.batch_rows);
@@ -412,6 +373,7 @@ impl Engine {
             morsels: ctx.pool_morsels,
             steals: ctx.pool_steals,
         });
+        Ok(rows)
     }
 
     /// Folds one parallel run's scheduling counters into the
@@ -441,16 +403,15 @@ impl Engine {
         stats: &mut ExecStats,
     ) -> Result<ResultSet, ExecError> {
         self.counters.prepared_execs.inc();
-        let rows = self.run(db, compiled, stats, &QueryGuard::unlimited())?;
+        let rows = self.run(db, compiled, stats, &QueryGuard::unlimited(), None)?;
         Ok(ResultSet::new(compiled.columns.clone(), rows))
     }
 
     /// Executes a previously prepared query, returning only the rows —
-    /// the allocation-free-of-metadata path hot loops (PPA's per-tuple
-    /// parameterized queries) use. Deliberately span-free: a traced PPA
-    /// run issues hundreds of these per phase, and the phase span plus
-    /// the `exec.prepared_execs` counter carry the signal without
-    /// flooding the trace.
+    /// the allocation-free-of-metadata path repeated executions (PPA's
+    /// materializations and emission fetches) use. Deliberately
+    /// span-free: the phase span plus the `exec.prepared_execs` counter
+    /// carry the signal without flooding the trace.
     pub fn execute_prepared_rows(
         &self,
         db: &Database,
@@ -458,12 +419,13 @@ impl Engine {
         stats: &mut ExecStats,
     ) -> Result<Vec<Row>, ExecError> {
         self.counters.prepared_execs.inc();
-        self.run(db, compiled, stats, &QueryGuard::unlimited())
+        self.run(db, compiled, stats, &QueryGuard::unlimited(), None)
     }
 
     /// [`Engine::execute_prepared_rows`] under a [`QueryGuard`]. Result
-    /// rows are *not* charged to the output budget here: prepared hot
-    /// loops (PPA probes) produce bookkeeping rows, not user output.
+    /// rows are *not* charged to the output budget here: prepared
+    /// executions (PPA materializations) produce bookkeeping rows, not
+    /// user output.
     pub fn execute_prepared_rows_guarded(
         &self,
         db: &Database,
@@ -472,7 +434,7 @@ impl Engine {
         guard: &QueryGuard,
     ) -> Result<Vec<Row>, ExecError> {
         self.counters.prepared_execs.inc();
-        self.run(db, compiled, stats, guard)
+        self.run(db, compiled, stats, guard, None)
     }
 
     /// Executes a query with a per-node [`PlanProfile`] attached,
@@ -510,25 +472,7 @@ impl Engine {
         let (compiled, mut stats) = self.compile_cached(db, query, guard)?;
         let profile = PlanProfile::for_query(&compiled);
         let t0 = Instant::now();
-        let rows = {
-            let mut ctx = ExecCtx {
-                stats: &mut stats,
-                guard,
-                profile: Some(&profile),
-                parallelism: self.parallelism,
-                batch_count: 0,
-                batch_rows: 0,
-                pool_morsels: 0,
-                pool_steals: 0,
-            };
-            let rows = if self.row_engine {
-                run_compiled_at(db, &compiled, &mut ctx, 0)?
-            } else {
-                crate::batch::run_compiled_batched_at(db, &compiled, &mut ctx, 0)?
-            };
-            self.note_batches(&ctx);
-            rows
-        };
+        let rows = self.run(db, &compiled, &mut stats, guard, Some(&profile))?;
         guard.charge_output(rows.len() as u64)?;
         profile.set_result(rows.len() as u64, t0.elapsed());
         self.counters.note(&stats, rows.len() as u64, t0.elapsed());
@@ -536,153 +480,6 @@ impl Engine {
         span.attr("profiled", true);
         Ok((compiled, rows, stats, profile))
     }
-}
-
-/// Runs a compiled query to completion: branches → aggregation → having →
-/// projection → distinct → order → limit.
-pub(crate) fn run_compiled(
-    db: &Database,
-    compiled: &CompiledQuery,
-    stats: &mut ExecStats,
-    guard: &QueryGuard,
-) -> Result<Vec<Row>, ExecError> {
-    let mut ctx = ExecCtx {
-        stats,
-        guard,
-        profile: None,
-        parallelism: 1,
-        batch_count: 0,
-        batch_rows: 0,
-        pool_morsels: 0,
-        pool_steals: 0,
-    };
-    run_compiled_at(db, compiled, &mut ctx, 0)
-}
-
-/// [`run_compiled`] with an execution context and a node-id base: branch
-/// plans occupy consecutive pre-order id ranges starting at `base` (see
-/// [`crate::analyze::PlanProfile`]). Derived-table execution re-enters
-/// here with the derived node's own base.
-pub(crate) fn run_compiled_at(
-    db: &Database,
-    compiled: &CompiledQuery,
-    ctx: &mut ExecCtx<'_>,
-    base: usize,
-) -> Result<Vec<Row>, ExecError> {
-    let mut rows: Vec<Row> = Vec::new();
-    // One extracted key column per ORDER BY Source key (evaluated against
-    // the pre-projection row); columnar so the sort can read keys by
-    // reference instead of cloning a key row per input row.
-    let src_exprs = source_key_exprs(compiled);
-    let mut skeys: Vec<Vec<Value>> = vec![Vec::new(); src_exprs.len()];
-    // Source keys are only compiled on single-branch queries; for any
-    // other shape the old code sorted missing sources as NULL keys, which
-    // the final `resize` below reproduces.
-    let keep_source = compiled.branches.len() == 1 && !src_exprs.is_empty();
-    let mut branch_base = base;
-    for branch in &compiled.branches {
-        let input = branch.plan.run_node(db, ctx, branch_base)?;
-        branch_base += branch.plan.node_count();
-        let sources: Vec<Row> = match &branch.agg {
-            Some(agg) => {
-                let mut inter = agg.spec.run(input);
-                ctx.stats.rows_intermediate += inter.len() as u64;
-                ctx.guard.charge_intermediate(inter.len() as u64)?;
-                if let Some(h) = &agg.having {
-                    inter.retain(|r| h.eval_bool(r));
-                }
-                inter
-            }
-            None => input,
-        };
-        let mut branch_rows: Vec<Row> = Vec::with_capacity(sources.len());
-        for src in sources {
-            branch_rows.push(branch.project.iter().map(|p| p.eval(&src)).collect());
-            if keep_source {
-                for (j, e) in src_exprs.iter().enumerate() {
-                    skeys[j].push(e.eval(&src));
-                }
-            }
-        }
-        if branch.distinct {
-            let mut seen: HashSet<Row> = HashSet::with_capacity(branch_rows.len());
-            branch_rows.retain(|out| seen.insert(out.clone()));
-        }
-        rows.extend(branch_rows);
-    }
-    Ok(sort_and_limit(compiled, rows, skeys))
-}
-
-/// The ORDER BY Source-key expressions, in key order.
-pub(crate) fn source_key_exprs(compiled: &CompiledQuery) -> Vec<&crate::expr::PhysExpr> {
-    compiled
-        .order
-        .iter()
-        .filter_map(|k| match &k.source {
-            KeySource::Source(e) => Some(e),
-            KeySource::Output(_) => None,
-        })
-        .collect()
-}
-
-/// Shared final stage of both engines: ORDER BY + LIMIT over projected
-/// rows. `skeys` holds one extracted column per Source order key (see
-/// [`source_key_exprs`]); Output keys read the projected rows directly.
-/// Sorts a permutation of row indices — keys are compared by reference,
-/// so no `Value` is cloned per row — with the deterministic tie-break on
-/// original row position, then reorders once.
-pub(crate) fn sort_and_limit(
-    compiled: &CompiledQuery,
-    mut rows: Vec<Row>,
-    mut skeys: Vec<Vec<Value>>,
-) -> Vec<Row> {
-    if !compiled.order.is_empty() && rows.len() > 1 {
-        // Pad short source-key columns with NULLs (multi-branch queries
-        // never retain sources; the planner rejects DISTINCT + Source
-        // keys, so on the retained path lengths already match).
-        for col in &mut skeys {
-            col.resize(rows.len(), Value::Null);
-        }
-        enum KeyCol {
-            Out(usize),
-            Src(usize),
-        }
-        let mut cols = Vec::with_capacity(compiled.order.len());
-        let mut s = 0usize;
-        for k in &compiled.order {
-            match &k.source {
-                KeySource::Output(c) => cols.push(KeyCol::Out(*c)),
-                KeySource::Source(_) => {
-                    cols.push(KeyCol::Src(s));
-                    s += 1;
-                }
-            }
-        }
-        let mut idx: Vec<usize> = (0..rows.len()).collect();
-        idx.sort_unstable_by(|&a, &b| {
-            for (kc, spec) in cols.iter().zip(&compiled.order) {
-                let (va, vb) = match kc {
-                    KeyCol::Out(c) => (&rows[a][*c], &rows[b][*c]),
-                    KeyCol::Src(j) => (&skeys[*j][a], &skeys[*j][b]),
-                };
-                let ord = va.total_cmp(vb);
-                let ord = if spec.desc { ord.reverse() } else { ord };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            a.cmp(&b) // stable tie-break on original position
-        });
-        let mut reordered = Vec::with_capacity(rows.len());
-        for &i in &idx {
-            reordered.push(std::mem::take(&mut rows[i]));
-        }
-        rows = reordered;
-    }
-    if let Some(n) = compiled.limit {
-        rows.truncate(n as usize);
-    }
-    rows
 }
 
 /// `true` when the environment variable `name` is set to a truthy value
@@ -696,7 +493,3 @@ fn env_flag(name: &str) -> bool {
         Err(_) => false,
     }
 }
-
-// keep the AggState import used (trait methods are called through plan.rs)
-#[allow(unused)]
-fn _assert_traits(_s: &dyn AggState) {}

@@ -111,9 +111,10 @@ impl std::fmt::Debug for PhysExpr {
 /// Columnar row access for batch evaluation: a *view* exposes `len()`
 /// rows whose column values can be borrowed without cloning. The batch
 /// engine implements this for its [`crate::batch::Batch`] and for the
-/// scan's pre-materialization row view; the row path adapts a single
-/// `&[Value]` row through [`RowView`]. One generic evaluator serves all
-/// three, so the row and batch engines cannot drift semantically.
+/// scan's pre-materialization row view; single `&[Value]` rows
+/// (aggregation, `HAVING`, [`PhysExpr::eval`] callers) adapt through
+/// [`RowView`]. One generic evaluator serves all three, so row-shaped and
+/// batch evaluation cannot drift semantically.
 pub(crate) trait ColView {
     /// Number of physical rows in the view.
     fn len(&self) -> usize;

@@ -18,16 +18,16 @@
 //!   (the 1–n absence sub-queries of §5),
 //! * scalar UDFs (elastic doi functions embedded in sub-queries) and
 //!   aggregate UDFs (the ranking function `r(degree)` of Example 6),
-//! * a `rowid` pseudo-column per base-table binding — the "tuple id" the
-//!   PPA algorithm's parameterized queries bind; `binding.rowid = <k>`
-//!   predicates short-circuit into O(1) row fetches.
+//! * a `rowid` pseudo-column per base-table binding — the "tuple id" PPA
+//!   identifies answer tuples by; `binding.rowid = <k>` predicates
+//!   short-circuit into O(1) row fetches.
 //!
-//! Execution is vectorized: operators exchange fixed-capacity columnar
-//! [`batch::Batch`]es with selection vectors, scans materialize only the
-//! rows that survive their pushed predicates, and guard budgets are
-//! charged per batch. The original row-at-a-time path is retained behind
-//! the `QP_ROW_ENGINE=1` toggle as the parity oracle — both paths produce
-//! byte-identical results, enforced by property tests.
+//! Execution is vectorized and has one path: operators exchange
+//! fixed-capacity columnar [`batch::Batch`]es with selection vectors,
+//! scans materialize only the rows that survive their pushed predicates,
+//! and guard budgets are charged per batch. The original row-at-a-time
+//! interpreter survives only as a serial test oracle under `tests/`;
+//! property tests check the engine against it byte for byte.
 
 pub mod analyze;
 pub mod batch;
@@ -51,8 +51,7 @@ pub use error::{ExecError, ResourceKind};
 pub use functions::{AggState, AggregateFunction, ScalarUdf};
 pub use guard::{CancelToken, QueryGuard, QueryGuardBuilder};
 pub use pool::{
-    morsel_map, morsel_map_with, panic_message, parallel_map, MorselStats, WorkerPanic,
-    MORSEL_MAX_ITEMS, PARALLEL_THRESHOLD,
+    morsel_map, panic_message, MorselStats, WorkerPanic, MORSEL_MAX_ITEMS, PARALLEL_THRESHOLD,
 };
 pub use result::ResultSet;
 

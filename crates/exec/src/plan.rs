@@ -1,4 +1,6 @@
-//! Physical plan nodes and their (materialized) execution.
+//! Physical plan nodes, the execution context threaded through them, and
+//! the grouping/aggregation spec. The operators themselves are executed
+//! by the vectorized engine in [`crate::batch`].
 //!
 //! Row layout convention: every base-table scan emits rows of the shape
 //! `[rowid, col_0, …, col_{n-1}]`; joins concatenate the rows of their
@@ -7,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use qp_storage::{AttrId, Database, RelId, Row, RowId, Value};
+use qp_storage::{AttrId, RelId, Row, Value};
 
 use crate::engine::ExecStats;
 use crate::error::ExecError;
@@ -23,22 +25,16 @@ pub(crate) fn fail_point(site: &str) -> Result<(), ExecError> {
     qp_storage::failpoint::check(site).map_err(ExecError::Fault)
 }
 
-/// Rows per work item handed to the morsel pool by the row path's
-/// parallel hash join — the row-engine analogue of a batch. Items this
-/// size group into 1–4-item morsels, matching the batch path's steal
-/// granularity.
-const ROW_MORSEL: usize = 256;
-
 /// Row-id fetch attached to a scan — the short-circuit path for
-/// `binding.rowid = k` predicates (the PPA parameterized-query fast
-/// path).
+/// `binding.rowid = k` predicates.
 #[derive(Debug, Clone)]
 pub enum RowIdFetch {
-    /// Fetch a single row by id (classic per-tuple point probe).
+    /// Fetch a single row by id (a `binding.rowid = k` predicate).
     One(u64),
     /// Fetch every listed row id in list order, skipping missing ids —
-    /// the batched PPA probe's tuple-id IN-set: one execution evaluates
-    /// the prepared probe for a whole round of fresh tuples at once.
+    /// a tuple-id IN-set bound by [`crate::planner::CompiledQuery::rebind_rowid_set`]:
+    /// one execution fetches PPA's whole emission burst, or re-evaluates
+    /// a maintained preference for a delta's candidate tuples.
     Set(Arc<Vec<u64>>),
 }
 
@@ -83,10 +79,10 @@ pub(crate) struct ExecCtx<'a> {
     /// Flows into derived sub-queries; guard budgets stay global because
     /// workers share the guard's atomics.
     pub parallelism: usize,
-    /// Batches produced by the vectorized path this execution (0 on the
-    /// row path). Folded into the engine's `exec.batch.count` counter;
-    /// kept out of [`ExecStats`] because batch boundaries legitimately
-    /// differ between serial and parallel runs of the same query.
+    /// Batches produced by this execution. Folded into the engine's
+    /// `exec.batch.count` counter; kept out of [`ExecStats`] because
+    /// batch boundaries legitimately differ between serial and parallel
+    /// runs of the same query.
     pub batch_count: u64,
     /// Live rows carried by those batches (`exec.batch.rows`).
     pub batch_rows: u64,
@@ -100,7 +96,21 @@ pub(crate) struct ExecCtx<'a> {
     pub pool_steals: u64,
 }
 
-impl ExecCtx<'_> {
+impl<'a> ExecCtx<'a> {
+    /// A context with zeroed batch and pool counters and no profile.
+    pub(crate) fn new(stats: &'a mut ExecStats, guard: &'a QueryGuard, parallelism: usize) -> Self {
+        ExecCtx {
+            stats,
+            guard,
+            profile: None,
+            parallelism,
+            batch_count: 0,
+            batch_rows: 0,
+            pool_morsels: 0,
+            pool_steals: 0,
+        }
+    }
+
     /// Folds one parallel run's scheduling counters into the context.
     pub(crate) fn note_pool(&mut self, stats: crate::pool::MorselStats) {
         self.pool_morsels += stats.morsels;
@@ -204,318 +214,6 @@ impl Plan {
                 1 + inputs.iter().map(Plan::node_count).sum::<usize>()
             }
             Plan::Derived { query } => 1 + query.plan_node_count(),
-        }
-    }
-
-    /// Executes the plan to a materialized batch, accumulating statistics.
-    /// Every materialized row is charged against `guard`; the operator
-    /// loops poll cancellation per row, so a tripped guard stops even a
-    /// cross product mid-batch.
-    pub fn run(
-        &self,
-        db: &Database,
-        stats: &mut ExecStats,
-        guard: &QueryGuard,
-    ) -> Result<Vec<Row>, ExecError> {
-        let mut ctx =
-            ExecCtx {
-                stats,
-                guard,
-                profile: None,
-                parallelism: 1,
-                batch_count: 0,
-                batch_rows: 0,
-                pool_morsels: 0,
-                pool_steals: 0,
-            };
-        self.run_node(db, &mut ctx, 0)
-    }
-
-    /// Executes this node as node `node` of the enclosing profile (a
-    /// pre-order position, see [`Plan::node_count`]). Timing is taken
-    /// only when a profile is attached, so the unprofiled path pays a
-    /// single branch per node.
-    pub(crate) fn run_node(
-        &self,
-        db: &Database,
-        ctx: &mut ExecCtx<'_>,
-        node: usize,
-    ) -> Result<Vec<Row>, ExecError> {
-        let t0 = ctx.profile.map(|_| std::time::Instant::now());
-        let out = self.run_inner(db, ctx, node)?;
-        if let (Some(profile), Some(t0)) = (ctx.profile, t0) {
-            profile.node(node).observe(out.len() as u64, t0.elapsed());
-        }
-        Ok(out)
-    }
-
-    fn run_inner(
-        &self,
-        db: &Database,
-        ctx: &mut ExecCtx<'_>,
-        node: usize,
-    ) -> Result<Vec<Row>, ExecError> {
-        match self {
-            Plan::Scan { rel, fetch_rowid, index_eq, filter, .. } => {
-                fail_point("exec.scan")?;
-                let table = db.table(*rel);
-                let mut out = Vec::new();
-                let mut scanned = 0u64;
-                let mut emit = |rowid: u64,
-                                row: &Row,
-                                out: &mut Vec<Row>,
-                                ctx: &mut ExecCtx<'_>|
-                 -> Result<(), ExecError> {
-                    ctx.stats.rows_scanned += 1;
-                    scanned += 1;
-                    ctx.guard.check()?;
-                    let mut r = Vec::with_capacity(row.len() + 1);
-                    r.push(Value::Int(rowid as i64));
-                    r.extend(row.iter().cloned());
-                    match filter {
-                        Some(p) if !p.eval_bool(&r) => {}
-                        _ => {
-                            charge(ctx, 1)?;
-                            out.push(r);
-                        }
-                    }
-                    Ok(())
-                };
-                match (fetch_rowid, index_eq) {
-                    (Some(RowIdFetch::One(id)), _) => {
-                        if let Some(row) = table.get(RowId(*id)) {
-                            emit(*id, row, &mut out, ctx)?;
-                        }
-                    }
-                    (Some(RowIdFetch::Set(ids)), _) => {
-                        for &id in ids.iter() {
-                            if let Some(row) = table.get(RowId(id)) {
-                                emit(id, row, &mut out, ctx)?;
-                            }
-                        }
-                    }
-                    (None, Some((attr, key))) => {
-                        let index = db.index(*attr);
-                        ctx.stats.index_probes += 1;
-                        for rid in index.lookup(key) {
-                            let row = table.get(*rid).ok_or_else(|| {
-                                ExecError::Internal(format!(
-                                    "index of {attr:?} points at missing row {rid:?}"
-                                ))
-                            })?;
-                            emit(rid.0, row, &mut out, ctx)?;
-                        }
-                    }
-                    (None, None) => {
-                        for (rid, row) in table.iter() {
-                            emit(rid.0, row, &mut out, ctx)?;
-                        }
-                    }
-                }
-                if let Some(profile) = ctx.profile {
-                    profile.node(node).add_scanned(scanned);
-                }
-                Ok(out)
-            }
-            Plan::Values => Ok(vec![vec![]]),
-            Plan::Filter { input, predicate } => {
-                let rows = input.run_node(db, ctx, node + 1)?;
-                let mut out = Vec::with_capacity(rows.len());
-                for r in rows {
-                    ctx.guard.check()?;
-                    if predicate.eval_bool(&r) {
-                        charge(ctx, 1)?;
-                        out.push(r);
-                    }
-                }
-                Ok(out)
-            }
-            Plan::HashJoin { left, right, left_key, right_key } => {
-                fail_point("exec.hash_join.build")?;
-                let left_node = node + 1;
-                let right_node = left_node + left.node_count();
-                let right_rows = right.run_node(db, ctx, right_node)?;
-                let parallel = ctx.parallelism > 1;
-
-                // --- build --------------------------------------------
-                // The parallel build morselizes the build side into
-                // row-chunks; per-chunk maps merge in chunk order, so
-                // each key's match list stays in ascending row order —
-                // the same order the serial loop produces.
-                let table: HashMap<Value, Vec<usize>> = if parallel
-                    && right_rows.len() >= crate::pool::PARALLEL_THRESHOLD
-                {
-                    let chunk = ROW_MORSEL;
-                    let guard = ctx.guard;
-                    let (partials, pstats) = crate::pool::morsel_map(
-                        right_rows.chunks(chunk).collect::<Vec<_>>(),
-                        ctx.parallelism,
-                        |ci, rows| {
-                            let base = ci * chunk;
-                            let mut m: HashMap<Value, Vec<usize>> = HashMap::new();
-                            for (i, r) in rows.iter().enumerate() {
-                                guard.check()?;
-                                let k = right_key.eval(r);
-                                if !k.is_null() {
-                                    m.entry(k).or_default().push(base + i);
-                                }
-                            }
-                            Ok::<_, ExecError>(m)
-                        },
-                    );
-                    ctx.note_pool(pstats);
-                    let mut table: HashMap<Value, Vec<usize>> = HashMap::new();
-                    for m in partials? {
-                        for (k, v) in m {
-                            table.entry(k).or_default().extend(v);
-                        }
-                    }
-                    table
-                } else {
-                    let mut table: HashMap<Value, Vec<usize>> = HashMap::new();
-                    for (i, r) in right_rows.iter().enumerate() {
-                        ctx.guard.check()?;
-                        let k = right_key.eval(r);
-                        if !k.is_null() {
-                            table.entry(k).or_default().push(i);
-                        }
-                    }
-                    table
-                };
-
-                // --- probe --------------------------------------------
-                let left_rows = left.run_node(db, ctx, left_node)?;
-                if parallel && left_rows.len() >= crate::pool::PARALLEL_THRESHOLD {
-                    // Workers charge the *shared* guard per emitted row
-                    // (global intermediate-row budget) while counting into
-                    // local stats merged deterministically afterwards.
-                    let guard = ctx.guard;
-                    let (parts, pstats) = crate::pool::morsel_map(
-                        left_rows.chunks(ROW_MORSEL).collect::<Vec<_>>(),
-                        ctx.parallelism,
-                        |_, rows| {
-                            let mut out = Vec::new();
-                            let mut emitted = 0u64;
-                            for l in rows {
-                                guard.check()?;
-                                let k = left_key.eval(l);
-                                if k.is_null() {
-                                    continue;
-                                }
-                                if let Some(matches) = table.get(&k) {
-                                    for &i in matches {
-                                        guard.charge_intermediate(1)?;
-                                        emitted += 1;
-                                        let mut row = l.clone();
-                                        row.extend(right_rows[i].iter().cloned());
-                                        out.push(row);
-                                    }
-                                }
-                            }
-                            Ok::<_, ExecError>((out, emitted))
-                        },
-                    );
-                    ctx.note_pool(pstats);
-                    let mut out = Vec::new();
-                    for (rows, emitted) in parts? {
-                        ctx.stats.rows_intermediate += emitted;
-                        out.extend(rows);
-                    }
-                    return Ok(out);
-                }
-                let mut out = Vec::new();
-                for l in left_rows {
-                    ctx.guard.check()?;
-                    let k = left_key.eval(&l);
-                    if k.is_null() {
-                        continue;
-                    }
-                    if let Some(matches) = table.get(&k) {
-                        for &i in matches {
-                            charge(ctx, 1)?;
-                            let mut row = l.clone();
-                            row.extend(right_rows[i].iter().cloned());
-                            out.push(row);
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            Plan::IndexJoin { left, left_key, right_attr, residual } => {
-                fail_point("exec.index_join")?;
-                let index = db.index(*right_attr);
-                let table = db.table(right_attr.rel);
-                let left_rows = left.run_node(db, ctx, node + 1)?;
-                let mut out = Vec::new();
-                let mut probes = 0u64;
-                for l in left_rows {
-                    ctx.guard.check()?;
-                    let k = left_key.eval(&l);
-                    if k.is_null() {
-                        continue;
-                    }
-                    ctx.stats.index_probes += 1;
-                    probes += 1;
-                    for rid in index.lookup(&k) {
-                        let right = table.get(*rid).ok_or_else(|| {
-                            ExecError::Internal(format!(
-                                "index of {right_attr:?} points at missing row {rid:?}"
-                            ))
-                        })?;
-                        let mut row = Vec::with_capacity(l.len() + right.len() + 1);
-                        row.extend(l.iter().cloned());
-                        row.push(Value::Int(rid.0 as i64));
-                        row.extend(right.iter().cloned());
-                        match residual {
-                            Some(p) if !p.eval_bool(&row) => {}
-                            _ => {
-                                charge(ctx, 1)?;
-                                out.push(row);
-                            }
-                        }
-                    }
-                }
-                if let Some(profile) = ctx.profile {
-                    profile.node(node).add_probes(probes);
-                }
-                Ok(out)
-            }
-            Plan::NestedLoop { left, right, predicate } => {
-                fail_point("exec.nested_loop")?;
-                let left_node = node + 1;
-                let right_node = left_node + left.node_count();
-                let right_rows = right.run_node(db, ctx, right_node)?;
-                let left_rows = left.run_node(db, ctx, left_node)?;
-                let mut out = Vec::new();
-                for l in &left_rows {
-                    for r in &right_rows {
-                        // polled per pair: cancellation must stop the
-                        // cross product inside a single batch
-                        ctx.guard.check()?;
-                        let mut row = Vec::with_capacity(l.len() + r.len());
-                        row.extend(l.iter().cloned());
-                        row.extend(r.iter().cloned());
-                        match predicate {
-                            Some(p) if !p.eval_bool(&row) => {}
-                            _ => {
-                                charge(ctx, 1)?;
-                                out.push(row);
-                            }
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            Plan::UnionAll { inputs } => {
-                let mut out = Vec::new();
-                let mut child = node + 1;
-                for p in inputs {
-                    out.extend(p.run_node(db, ctx, child)?);
-                    child += p.node_count();
-                }
-                Ok(out)
-            }
-            Plan::Derived { query } => crate::engine::run_compiled_at(db, query, ctx, node + 1),
         }
     }
 }

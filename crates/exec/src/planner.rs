@@ -9,8 +9,9 @@
 //!
 //! The `rowid` pseudo-column of a base-table binding resolves to the hidden
 //! first slot of the scan row; a `binding.rowid = <int>` predicate turns
-//! the scan into an O(1) fetch — this is how the PPA algorithm's
-//! parameterized queries `Qiˢ(t)` / `Qiᴬ(t)` become cheap.
+//! the scan into an O(1) fetch, which [`CompiledQuery::rebind_rowid_set`]
+//! widens to a tuple-id set (PPA's emission fetches, the maintenance
+//! layer's candidate re-evaluations).
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -18,12 +19,12 @@ use std::sync::Arc;
 use qp_sql::{BinaryOp, Expr, Literal, OrderByItem, Query, Select, SelectItem, TableRef};
 use qp_storage::{Database, RelId, Value};
 
-use crate::engine::{run_compiled, ExecStats};
+use crate::engine::ExecStats;
 use crate::error::ExecError;
 use crate::expr::PhysExpr;
 use crate::functions::FunctionRegistry;
 use crate::guard::QueryGuard;
-use crate::plan::{AggCall, AggSpec, Plan, RowIdFetch, ScanEstimate};
+use crate::plan::{AggCall, AggSpec, ExecCtx, Plan, RowIdFetch, ScanEstimate};
 
 /// A fully compiled query, ready to execute against the database it was
 /// planned for.
@@ -31,8 +32,8 @@ use crate::plan::{AggCall, AggSpec, Plan, RowIdFetch, ScanEstimate};
 /// `Clone` is cheap relative to planning (expression trees are copied;
 /// materialized `IN`-sets and UDF handles are `Arc`-shared): the plan
 /// cache hands out [`std::sync::Arc<CompiledQuery>`]s and callers that
-/// need mutation (PPA's `rebind_rowid`) clone a private copy — one clone
-/// per worker also makes the per-round probes data-parallel.
+/// need mutation ([`CompiledQuery::rebind_rowid_set`]) clone a private
+/// copy.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     /// One compiled select per `UNION ALL` branch.
@@ -46,25 +47,14 @@ pub struct CompiledQuery {
 }
 
 impl CompiledQuery {
-    /// Rebinds every row-id fetch on scans of `rel` to a new row id.
-    /// This turns a query compiled with a placeholder `binding.rowid = k`
-    /// predicate into a reusable *prepared parameterized query* — the PPA
-    /// algorithm's `Qiˢ(t)` / `Qiᴬ(t)` rebind instead of recompiling.
-    /// Returns the number of scans rebound.
-    pub fn rebind_rowid(&mut self, rel: RelId, rowid: u64) -> usize {
-        let mut n = 0;
-        for b in &mut self.branches {
-            n += rebind_plan(&mut b.plan, rel, &RowIdFetch::One(rowid));
-        }
-        n
-    }
-
     /// Rebinds every row-id fetch on scans of `rel` to a *set* of row
-    /// ids — the batched PPA probe. One execution then evaluates the
-    /// prepared probe for every listed tuple at once (a hash semi-join
-    /// against the id set): the fetch scan emits the listed rows in set
-    /// order, so the result is the concatenation of the per-tuple
-    /// results in that order. Returns the number of scans rebound.
+    /// ids. This turns a query compiled with a placeholder
+    /// `binding.rowid = k` predicate into a reusable prepared query that
+    /// is rebound instead of recompiled. One execution then evaluates it
+    /// for every listed tuple at once: the fetch scan emits the listed
+    /// rows in set order, so the result is the concatenation of the
+    /// per-tuple results in that order. Returns the number of scans
+    /// rebound.
     pub fn rebind_rowid_set(&mut self, rel: RelId, rowids: &Arc<Vec<u64>>) -> usize {
         let mut n = 0;
         for b in &mut self.branches {
@@ -866,7 +856,8 @@ impl<'a> Planner<'a> {
                     return Err(ExecError::SubqueryArity(compiled.columns.len()));
                 }
                 self.stats.subqueries += 1;
-                let rows = run_compiled(self.db, &compiled, &mut self.stats, &self.guard)?;
+                let mut ctx = ExecCtx::new(&mut self.stats, &self.guard, 1);
+                let rows = crate::batch::run_compiled_batched_at(self.db, &compiled, &mut ctx, 0)?;
                 let mut set = HashSet::with_capacity(rows.len());
                 let mut has_null = false;
                 for mut r in rows {

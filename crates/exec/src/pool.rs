@@ -63,13 +63,13 @@ pub const PARALLEL_THRESHOLD: usize = 256;
 
 /// Upper bound on items per morsel. Work units handed to the pool are
 /// already coarse (a 1024-row [`crate::batch::Batch`], a preference-query
-/// materialization, a row-chunk), so morsels of 1–4 items keep the steal
-/// granularity fine enough to absorb skew while the per-morsel locking
-/// overhead stays invisible next to the work itself.
+/// materialization, a chunk of PPA's fresh tuples), so morsels of 1–4
+/// items keep the steal granularity fine enough to absorb skew while the
+/// per-morsel locking overhead stays invisible next to the work itself.
 pub const MORSEL_MAX_ITEMS: usize = 4;
 
-/// Scheduling statistics from one [`morsel_map`] / [`morsel_map_with`]
-/// run. The serial fallback reports zeros — no scheduler was engaged.
+/// Scheduling statistics from one [`morsel_map`] run. The serial
+/// fallback reports zeros — no scheduler was engaged.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MorselStats {
     /// Morsels dispatched (0 on the serial path).
@@ -164,6 +164,15 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// A claimable morsel slot: the morsel's starting input index plus its
+/// items, `take`n exactly once by whichever worker claims the id.
+type MorselSlot<T> = Mutex<Option<(usize, Vec<T>)>>;
+
+/// A morsel's recorded outcome, `None` until a worker settles it; slots
+/// still `None` after the scope closes belonged to a worker that died
+/// outside any morsel.
+type OutcomeSlot<R, E> = Mutex<Option<Result<Vec<R>, E>>>;
+
 /// Maps `f` over `items` with morsel-driven work stealing, returning
 /// results in input order plus the run's [`MorselStats`]. `f` receives
 /// the item's original index alongside the item. With `parallelism <= 1`
@@ -190,45 +199,11 @@ where
     E: Send + From<WorkerPanic>,
     F: Fn(usize, T) -> Result<R, E> + Sync,
 {
-    morsel_map_with(items, parallelism, || (), move |_, i, t| f(i, t))
-}
-
-/// A claimable morsel slot: the morsel's starting input index plus its
-/// items, `take`n exactly once by whichever worker claims the id.
-type MorselSlot<T> = Mutex<Option<(usize, Vec<T>)>>;
-
-/// A morsel's recorded outcome, `None` until a worker settles it; slots
-/// still `None` after the scope closes belonged to a worker that died
-/// outside any morsel.
-type OutcomeSlot<R, E> = Mutex<Option<Result<Vec<R>, E>>>;
-
-/// [`morsel_map`] with per-worker scratch state: `init` runs once on
-/// each worker thread (and once on the serial path) and the resulting
-/// state is threaded through every morsel that worker executes. This is
-/// how call sites amortize per-thread setup — e.g. the row-engine PPA
-/// probe clones its prepared queries once per worker instead of once per
-/// tuple. If a morsel panics, that worker's state is rebuilt with `init`
-/// before it claims its next morsel, since the unwound closure may have
-/// left it mid-mutation.
-pub fn morsel_map_with<T, R, E, S, I, F>(
-    items: Vec<T>,
-    parallelism: usize,
-    init: I,
-    f: F,
-) -> (Result<Vec<R>, E>, MorselStats)
-where
-    T: Send,
-    R: Send,
-    E: Send + From<WorkerPanic>,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, T) -> Result<R, E> + Sync,
-{
     let n = items.len();
     let workers = parallelism.min(n);
     if workers <= 1 {
         let res = catch_unwind(AssertUnwindSafe(|| {
-            let mut state = init();
-            items.into_iter().enumerate().map(|(i, t)| f(&mut state, i, t)).collect()
+            items.into_iter().enumerate().map(|(i, t)| f(i, t)).collect()
         }))
         .unwrap_or_else(|payload| {
             Err(E::from(WorkerPanic { morsel: 0, message: panic_message(&*payload) }))
@@ -259,10 +234,10 @@ where
     let results: Vec<OutcomeSlot<R, E>> = (0..m).map(|_| Mutex::new(None)).collect();
     let steals = AtomicU64::new(0);
 
-    let (init, f) = (&init, &f);
+    let f = &f;
     let (morsels, deques, results, steals) = (&morsels, &deques, &results, &steals);
     // Panic payloads from workers that died *outside* a morsel (thread
-    // startup, `init`): attributed below to any morsel left outcome-less.
+    // startup): attributed below to any morsel left outcome-less.
     let escaped: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
@@ -274,7 +249,6 @@ where
                     if let Err(msg) = qp_storage::failpoint::check("exec.pool.spawn") {
                         std::panic::panic_any(format!("injected fault: {msg}"));
                     }
-                    let mut state = init();
                     loop {
                         // Claim: own deque front first, then scan the
                         // others and steal from the back. Deques only
@@ -308,32 +282,17 @@ where
                             continue;
                         }
                         let Some((base, chunk)) = lock(&morsels[mi]).take() else { continue };
-                        let out = {
-                            let state = &mut state;
-                            catch_unwind(AssertUnwindSafe(move || {
-                                chunk
-                                    .into_iter()
-                                    .enumerate()
-                                    .map(|(j, t)| f(state, base + j, t))
-                                    .collect::<Result<Vec<R>, E>>()
-                            }))
-                        };
-                        let (out, poisoned) = match out {
-                            Ok(r) => (r, false),
-                            Err(payload) => (
-                                Err(E::from(WorkerPanic {
-                                    morsel: mi,
-                                    message: panic_message(&*payload),
-                                })),
-                                true,
-                            ),
-                        };
+                        let out = catch_unwind(AssertUnwindSafe(move || {
+                            chunk
+                                .into_iter()
+                                .enumerate()
+                                .map(|(j, t)| f(base + j, t))
+                                .collect::<Result<Vec<R>, E>>()
+                        }))
+                        .unwrap_or_else(|payload| {
+                            Err(E::from(WorkerPanic { morsel: mi, message: panic_message(&*payload) }))
+                        });
                         *lock(&results[mi]) = Some(out);
-                        if poisoned {
-                            // The unwound closure may have left the
-                            // per-worker state mid-mutation; rebuild it.
-                            state = init();
-                        }
                     }
                 })
             })
@@ -357,7 +316,7 @@ where
             Some(Err(e)) => return (Err(e), stats),
             // No recorded outcome: every worker that could have claimed
             // this morsel died to a panic that escaped the morsel catch
-            // (thread startup or `init`). Attribute the escaped payload.
+            // (thread startup). Attribute the escaped payload.
             None => {
                 let message = escaped
                     .first()
@@ -370,21 +329,6 @@ where
     (Ok(out), stats)
 }
 
-/// Maps `f` over `items` using up to `parallelism` workers, returning
-/// results in input order — [`morsel_map`] minus the [`MorselStats`],
-/// for call sites that don't track scheduling counters. Semantics
-/// (ordering, lowest-morsel-error-wins, panic isolation, serial
-/// fallback) are identical.
-pub fn parallel_map<T, R, E, F>(items: Vec<T>, parallelism: usize, f: F) -> Result<Vec<R>, E>
-where
-    T: Send,
-    R: Send,
-    E: Send + From<WorkerPanic>,
-    F: Fn(usize, T) -> Result<R, E> + Sync,
-{
-    morsel_map(items, parallelism, f).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,7 +339,7 @@ mod tests {
         for par in [1, 2, 3, 8, 64] {
             let items: Vec<usize> = (0..100).collect();
             let out: Vec<usize> =
-                parallel_map(items, par, |i, x| Ok::<_, String>(i * 1000 + x * 3)).unwrap();
+                morsel_map(items, par, |i, x| Ok::<_, String>(i * 1000 + x * 3)).0.unwrap();
             let expect: Vec<usize> = (0..100).map(|x| x * 1000 + x * 3).collect();
             assert_eq!(out, expect, "parallelism={par}");
         }
@@ -405,10 +349,11 @@ mod tests {
     fn serial_path_spawns_no_threads() {
         // With parallelism 1 the closure runs on the calling thread.
         let caller = std::thread::current().id();
-        let out = parallel_map(vec![1, 2, 3], 1, |_, x| {
+        let out = morsel_map(vec![1, 2, 3], 1, |_, x| {
             assert_eq!(std::thread::current().id(), caller);
             Ok::<_, String>(x * 2)
         })
+        .0
         .unwrap();
         assert_eq!(out, vec![2, 4, 6]);
     }
@@ -416,9 +361,9 @@ mod tests {
     #[test]
     fn empty_and_single_item() {
         let out: Vec<i32> =
-            parallel_map(Vec::<i32>::new(), 8, |_, x| Ok::<_, String>(x)).unwrap();
+            morsel_map(Vec::<i32>::new(), 8, |_, x| Ok::<_, String>(x)).0.unwrap();
         assert!(out.is_empty());
-        let out = parallel_map(vec![7], 8, |_, x| Ok::<_, String>(x + 1)).unwrap();
+        let out = morsel_map(vec![7], 8, |_, x| Ok::<_, String>(x + 1)).0.unwrap();
         assert_eq!(out, vec![8]);
     }
 
@@ -427,13 +372,14 @@ mod tests {
         // Items 1 and 7 both fail; the error of the lower item index (=
         // lower morsel index) must win, matching the serial loop.
         let items: Vec<usize> = (0..8).collect();
-        let err = parallel_map(items, 4, |_, x| {
+        let err = morsel_map(items, 4, |_, x| {
             if x == 1 || x == 7 {
                 Err(format!("boom {x}"))
             } else {
                 Ok(x)
             }
         })
+        .0
         .unwrap_err();
         assert_eq!(err, "boom 1");
     }
@@ -442,10 +388,11 @@ mod tests {
     fn all_items_visited_exactly_once() {
         let count = AtomicUsize::new(0);
         let items: Vec<usize> = (0..1000).collect();
-        let out = parallel_map(items, 7, |_, x| {
+        let out = morsel_map(items, 7, |_, x| {
             count.fetch_add(1, Ordering::Relaxed);
             Ok::<_, String>(x)
         })
+        .0
         .unwrap();
         assert_eq!(count.load(Ordering::Relaxed), 1000);
         assert_eq!(out.len(), 1000);
@@ -454,7 +401,7 @@ mod tests {
     #[test]
     fn workers_can_borrow_caller_state() {
         let shared = [10, 20, 30];
-        let out = parallel_map(vec![0usize, 1, 2], 3, |_, i| Ok::<_, String>(shared[i])).unwrap();
+        let out = morsel_map(vec![0usize, 1, 2], 3, |_, i| Ok::<_, String>(shared[i])).0.unwrap();
         assert_eq!(out, vec![10, 20, 30]);
     }
 
@@ -463,12 +410,13 @@ mod tests {
     #[test]
     fn panicking_worker_surfaces_typed_error() {
         let items: Vec<usize> = (0..8).collect();
-        let err: WorkerPanicProbe = parallel_map(items, 4, |_, x| {
+        let err: WorkerPanicProbe = morsel_map(items, 4, |_, x| {
             if x == 7 {
                 panic!("poisoned tuple {x}");
             }
             Ok::<_, WorkerPanicProbe>(x)
         })
+        .0
         .unwrap_err();
         assert_eq!(err.0.morsel, 7, "8 items over 4 workers -> one-item morsels");
         assert_eq!(err.0.message, "poisoned tuple 7");
@@ -477,12 +425,13 @@ mod tests {
     #[test]
     fn serial_path_catches_panics_identically() {
         let err: WorkerPanicProbe =
-            parallel_map(vec![1, 2, 3], 1, |_, x: i32| -> Result<i32, WorkerPanicProbe> {
+            morsel_map(vec![1, 2, 3], 1, |_, x: i32| -> Result<i32, WorkerPanicProbe> {
                 if x == 2 {
                     panic!("serial boom");
                 }
                 Ok(x)
             })
+            .0
             .unwrap_err();
         assert_eq!(err.0, WorkerPanic { morsel: 0, message: "serial boom".into() });
     }
@@ -490,7 +439,7 @@ mod tests {
     #[test]
     fn plain_error_in_earlier_morsel_beats_panic_in_later_morsel() {
         let items: Vec<usize> = (0..8).collect();
-        let err = parallel_map(items, 4, |_, x| {
+        let err = morsel_map(items, 4, |_, x| {
             if x == 0 {
                 return Err("typed error".to_string());
             }
@@ -499,12 +448,13 @@ mod tests {
             }
             Ok(x)
         })
+        .0
         .unwrap_err();
         assert_eq!(err, "typed error");
 
         // And symmetrically: a panic at item 0 beats an error at item 7.
         let items: Vec<usize> = (0..8).collect();
-        let err = parallel_map(items, 4, |_, x| {
+        let err = morsel_map(items, 4, |_, x| {
             if x == 0 {
                 panic!("early panic");
             }
@@ -513,6 +463,7 @@ mod tests {
             }
             Ok(x)
         })
+        .0
         .unwrap_err();
         assert!(err.contains("early panic"), "got: {err}");
     }
@@ -526,13 +477,14 @@ mod tests {
     fn shared_state_charged_before_panic_stays_settled() {
         let charged = AtomicUsize::new(0);
         let items: Vec<usize> = (0..100).collect();
-        let res: Result<Vec<usize>, WorkerPanicProbe> = parallel_map(items, 4, |_, x| {
+        let res: Result<Vec<usize>, WorkerPanicProbe> = morsel_map(items, 4, |_, x| {
             charged.fetch_add(1, Ordering::Relaxed);
             if x == 99 {
                 panic!("late panic");
             }
             Ok(x)
-        });
+        })
+        .0;
         assert!(res.is_err());
         let seen = charged.load(Ordering::Relaxed);
         assert!(seen >= 99, "every non-panicking item still charged: {seen}");
@@ -562,56 +514,6 @@ mod tests {
         let after = totals();
         assert!(after.morsels >= before.morsels + stats.morsels);
         assert!(after.steals >= before.steals);
-    }
-
-    /// Per-worker state: `init` runs at most once per worker on the
-    /// happy path, and every item sees a state its own thread built.
-    #[test]
-    fn per_worker_state_initialized_once_per_worker() {
-        let inits = AtomicUsize::new(0);
-        let (out, _) = morsel_map_with(
-            (0..200).collect::<Vec<usize>>(),
-            4,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0usize
-            },
-            |seen, _, x| {
-                *seen += 1;
-                Ok::<_, String>(x)
-            },
-        );
-        assert_eq!(out.unwrap().len(), 200);
-        let n = inits.load(Ordering::Relaxed);
-        assert!((1..=4).contains(&n), "one init per live worker, got {n}");
-    }
-
-    /// A panicking morsel poisons only itself: the worker rebuilds its
-    /// state and later morsels still complete.
-    #[test]
-    fn state_rebuilt_after_morsel_panic() {
-        let inits = AtomicUsize::new(0);
-        let (out, _) = morsel_map_with(
-            (0..40).collect::<Vec<usize>>(),
-            2,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                Vec::<usize>::new()
-            },
-            |scratch, _, x| {
-                scratch.push(x);
-                if x == 0 {
-                    panic!("poison first morsel");
-                }
-                Ok::<_, WorkerPanicProbe>(x)
-            },
-        );
-        let err = out.unwrap_err();
-        assert_eq!(err.0.morsel, 0);
-        assert!(
-            inits.load(Ordering::Relaxed) >= 3,
-            "the worker that caught the panic re-ran init"
-        );
     }
 
     /// Wrapper proving the `E: From<WorkerPanic>` bound carries the full

@@ -2,9 +2,13 @@
 //! aggregations are checked against a naive in-Rust reference evaluation
 //! over the same data.
 
+mod support;
+
 use proptest::prelude::*;
 use qp_exec::Engine;
 use qp_storage::{Attribute, DataType, Database, Value};
+
+use support::row_oracle;
 
 /// A small table of integers with some NULLs: T(a, b, c).
 fn build_db(rows: &[(Option<i64>, i64, i64)]) -> Database {
@@ -257,16 +261,9 @@ proptest! {
             live.push((row[0].as_i64(), row[1].as_i64().unwrap(), row[2].as_i64().unwrap()));
         }
         let sql = format!("select b from T where {}", pred.to_sql());
-        let mut batch_engine = Engine::new();
-        batch_engine.set_row_engine(false);
-        let mut row_engine = Engine::new();
-        row_engine.set_row_engine(true);
-        let batch = batch_engine.execute_sql(&db, &sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
-        let row = row_engine.execute_sql(&db, &sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
-        let got_batch: Vec<i64> = batch.rows.iter().filter_map(|r| r[0].as_i64()).collect();
-        let got_row: Vec<i64> = row.rows.iter().filter_map(|r| r[0].as_i64()).collect();
-        prop_assert_eq!(&got_batch, &got_row, "row/batch parity under tombstones: {}", sql);
-        let mut got = got_batch;
+        let batch = Engine::new().execute_sql(&db, &sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        prop_assert_eq!(&batch, &row_oracle::execute_sql(&db, &sql), "oracle parity under tombstones: {}", sql);
+        let mut got: Vec<i64> = batch.rows.iter().filter_map(|r| r[0].as_i64()).collect();
         let mut expect: Vec<i64> = live
             .iter()
             .filter(|r| pred.eval(r) == Some(true))

@@ -5,6 +5,10 @@
 use std::time::Duration;
 
 use qp_exec::{CancelToken, Engine, ExecError, QueryGuard, ResourceKind};
+// Every test holds a `FailScenario` (a no-op without the `failpoints`
+// feature): failpoints are process-global, so a sibling's armed fault
+// must not fire inside a test that expects a clean run.
+use qp_exec::failpoint::FailScenario;
 use qp_sql::parse_query;
 use qp_storage::{Attribute, DataType, Database, Value};
 
@@ -31,6 +35,7 @@ fn run(db: &Database, sql: &str, guard: &QueryGuard) -> Result<usize, ExecError>
 
 #[test]
 fn output_budget_trips_on_excess_rows() {
+    let _s = FailScenario::setup();
     let db = table_db(10);
     let guard = QueryGuard::builder().max_output_rows(3).build();
     let err = run(&db, "select id from T", &guard).unwrap_err();
@@ -42,6 +47,7 @@ fn output_budget_trips_on_excess_rows() {
 
 #[test]
 fn output_budget_admits_exact_fit() {
+    let _s = FailScenario::setup();
     let db = table_db(10);
     let guard = QueryGuard::builder().max_output_rows(10).build();
     assert_eq!(run(&db, "select id from T", &guard).unwrap(), 10);
@@ -49,6 +55,7 @@ fn output_budget_admits_exact_fit() {
 
 #[test]
 fn intermediate_budget_bounds_cross_product() {
+    let _s = FailScenario::setup();
     let db = table_db(20);
     // 20×20 cross product materializes 400 join rows (plus scan outputs);
     // a 50-row intermediate budget must stop it.
@@ -62,6 +69,7 @@ fn intermediate_budget_bounds_cross_product() {
 
 #[test]
 fn intermediate_overshoot_bounded_by_one_batch() {
+    let _s = FailScenario::setup();
     // The vectorized engine charges the intermediate budget once per batch
     // flush rather than per row, so a tripped guard may have admitted the
     // rows of the batch that crossed the line — but never more. Pin the
@@ -87,6 +95,7 @@ fn intermediate_overshoot_bounded_by_one_batch() {
 
 #[test]
 fn cancellation_stops_nested_loop_mid_batch() {
+    let _s = FailScenario::setup();
     let db = table_db(30);
     let token = CancelToken::new();
     token.cancel();
@@ -99,6 +108,7 @@ fn cancellation_stops_nested_loop_mid_batch() {
 
 #[test]
 fn expired_deadline_trips() {
+    let _s = FailScenario::setup();
     let db = table_db(200);
     let guard = QueryGuard::builder().deadline(Duration::ZERO).build();
     let err = run(&db, "select A.id, B.id from T A, T B", &guard).unwrap_err();
@@ -110,12 +120,14 @@ fn expired_deadline_trips() {
 
 #[test]
 fn unlimited_guard_changes_nothing() {
+    let _s = FailScenario::setup();
     let db = table_db(10);
     assert_eq!(run(&db, "select A.id, B.id from T A, T B", &QueryGuard::unlimited()).unwrap(), 100);
 }
 
 #[test]
 fn budgets_are_shared_across_clones() {
+    let _s = FailScenario::setup();
     let db = table_db(4);
     let guard = QueryGuard::builder().max_output_rows(6).build();
     let clone = guard.clone();
@@ -130,6 +142,7 @@ fn budgets_are_shared_across_clones() {
 
 #[test]
 fn fresh_attempt_restores_row_budgets() {
+    let _s = FailScenario::setup();
     let db = table_db(4);
     let guard = QueryGuard::builder().max_output_rows(4).build();
     assert_eq!(run(&db, "select id from T", &guard).unwrap(), 4);

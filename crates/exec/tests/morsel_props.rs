@@ -5,16 +5,45 @@
 //! delay injection that randomizes the claim order — and a guard that
 //! trips mid-run must surface the same typed resource error on both
 //! paths. `pool_props.rs` covers the schedule-independent basics
-//! (order, visit-once, panic typing); this file covers the schedules
-//! the block deal alone would never produce.
+//! (visit-once, panic typing); this file covers order identity with the
+//! serial loop, under the block deal and under the schedules it alone
+//! would never produce.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use qp_exec::{morsel_map, morsel_map_with, ExecError, QueryGuardBuilder, ResourceKind};
+use proptest::prelude::*;
+use qp_exec::{morsel_map, ExecError, QueryGuardBuilder, ResourceKind};
+// Every test outside `steal_heavy` holds a `FailScenario` (a no-op
+// without the `failpoints` feature): failpoints are process-global, so
+// the `exec.pool.morsel` faults `steal_heavy` arms must not fire inside
+// a parallel run here.
+use qp_exec::failpoint::FailScenario;
 
 fn mix(i: usize, x: u64) -> u64 {
     x.wrapping_mul(0x9E37_79B9).rotate_left((i % 31) as u32) ^ 0xA5A5
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Order identity without forced skew: the parallel result equals the
+    /// serial map for any batch length and worker count, including the
+    /// degenerate ones (empty batch, one item, more workers than items),
+    /// and the closure always sees the item's original index.
+    #[test]
+    fn any_shape_matches_serial(len in 0usize..700, par in 1usize..16) {
+        let _s = FailScenario::setup();
+        let items: Vec<u64> = (0..len as u64).collect();
+        let serial: Vec<u64> = items.iter().enumerate().map(|(i, &x)| mix(i, x)).collect();
+        let out = morsel_map(items, par, |i, x| {
+            prop_assert_eq!(i as u64, x, "closure sees the original index");
+            Ok::<_, String>(mix(i, x))
+        })
+        .0
+        .unwrap();
+        prop_assert_eq!(out, serial, "len={} par={}", len, par);
+    }
 }
 
 /// Caller-side skew: item 0 stalls its worker, so every other worker
@@ -23,6 +52,7 @@ fn mix(i: usize, x: u64) -> u64 {
 /// must be visible in the run's steal counter.
 #[test]
 fn stalled_worker_is_stolen_dry_and_output_is_byte_identical() {
+    let _s = FailScenario::setup();
     let items: Vec<u64> = (0..64).collect();
     let f = |i: usize, x: u64| {
         if i == 0 {
@@ -42,49 +72,13 @@ fn stalled_worker_is_stolen_dry_and_output_is_byte_identical() {
     );
 }
 
-/// The same skew through `morsel_map_with`: per-worker state follows the
-/// thief, not the deque, so stolen morsels run with the stealing
-/// worker's state and the output still equals serial.
-#[test]
-fn stolen_morsels_use_the_thiefs_state_and_match_serial() {
-    let inits = AtomicUsize::new(0);
-    let items: Vec<u64> = (0..64).collect();
-    let run = |parallelism: usize| {
-        morsel_map_with(
-            items.clone(),
-            parallelism,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0u64 // per-worker scratch: a running count of items seen
-            },
-            |seen, i, x| {
-                *seen += 1;
-                if i == 0 {
-                    std::thread::sleep(Duration::from_millis(40));
-                }
-                Ok::<_, ExecError>(mix(i, x))
-            },
-        )
-    };
-    let (serial, _) = run(1);
-    let serial = serial.expect("serial succeeds");
-    assert_eq!(inits.load(Ordering::Relaxed), 1, "serial builds exactly one state");
-    let (parallel, pstats) = run(4);
-    assert_eq!(serial, parallel.expect("parallel succeeds"));
-    assert!(pstats.steals >= 1, "skew forces stealing (steals={})", pstats.steals);
-    let total_inits = inits.load(Ordering::Relaxed);
-    assert!(
-        (2..=5).contains(&total_inits),
-        "parallel builds one state per spawned worker, never per morsel (inits={total_inits})"
-    );
-}
-
 /// A shared guard that trips mid-run must produce the same typed
 /// resource error at parallelism 1 and 4: the budget atomics are global
 /// across workers, so no schedule can out-spend the serial run, and the
 /// reassembly returns a lowest-morsel resource error either way.
 #[test]
 fn midrun_guard_trip_is_the_same_typed_error_on_both_paths() {
+    let _s = FailScenario::setup();
     for parallelism in [1, 4] {
         let guard = QueryGuardBuilder::default().max_intermediate_rows(100).build();
         let items: Vec<u64> = (0..64).collect();
@@ -108,6 +102,7 @@ fn midrun_guard_trip_is_the_same_typed_error_on_both_paths() {
 /// layer's accounting relies on it), bounded by the full run's charge.
 #[test]
 fn guard_charges_before_a_trip_stay_settled() {
+    let _s = FailScenario::setup();
     let charged = AtomicUsize::new(0);
     let guard = QueryGuardBuilder::default().max_intermediate_rows(50).build();
     let items: Vec<u64> = (0..64).collect();
@@ -132,7 +127,6 @@ fn guard_charges_before_a_trip_stay_settled() {
 #[cfg(feature = "failpoints")]
 mod steal_heavy {
     use super::*;
-    use proptest::prelude::*;
     use qp_exec::failpoint::{arm, FailAction, FailScenario};
 
     proptest! {

@@ -1,13 +1,19 @@
-//! Batch-vs-row parity: the vectorized engine and the `QP_ROW_ENGINE`
-//! row-at-a-time oracle must produce **byte-identical** result sets — same
-//! columns, same rows, same row order — on arbitrary SPJ queries, serial
-//! and parallel. Set-equality is not enough: downstream consumers (PPA's
-//! first-row-per-tuple probes, LIMIT, the resilience snapshots) depend on
-//! row order, so the property compares whole [`qp_exec::ResultSet`]s.
+//! Engine-vs-oracle parity: the vectorized engine and the serial
+//! row-at-a-time reference interpreter (`support/row_oracle.rs`) must
+//! produce **byte-identical** result sets — same columns, same rows, same
+//! row order — on arbitrary SPJ queries, serial and parallel.
+//! Set-equality is not enough: downstream consumers (PPA's
+//! first-row-per-tuple materializations, LIMIT, the resilience snapshots)
+//! depend on row order, so the property compares whole
+//! [`qp_exec::ResultSet`]s.
+
+mod support;
 
 use proptest::prelude::*;
 use qp_exec::Engine;
 use qp_storage::{Attribute, DataType, Database, Value};
+
+use support::row_oracle;
 
 /// T(a, b, c) with NULLs in `a`, plus S(k, v) keyed on `k` so equi-joins
 /// against S can take the index path.
@@ -43,17 +49,12 @@ fn build_db(t_rows: &[(Option<i64>, i64, i64)], s_rows: &[(i64, i64)]) -> Databa
 }
 
 /// Executes `sql` on the vectorized engine (at the given parallelism) and
-/// on the serial row engine, asserting byte-identical result sets.
+/// on the row oracle, asserting byte-identical result sets.
 fn assert_parity(db: &Database, sql: &str, parallelism: usize) -> Result<(), String> {
-    let mut batch = Engine::new();
-    batch.set_row_engine(false);
-    batch.set_parallelism(parallelism);
-    let mut row = Engine::new();
-    row.set_row_engine(true);
-    row.set_parallelism(1);
-    let got = batch.execute_sql(db, sql).unwrap_or_else(|e| panic!("batch: {sql}: {e}"));
-    let expect = row.execute_sql(db, sql).unwrap_or_else(|e| panic!("row: {sql}: {e}"));
-    prop_assert_eq!(got, expect, "engines diverge on: {}", sql);
+    let mut engine = Engine::new();
+    engine.set_parallelism(parallelism);
+    let got = engine.execute_sql(db, sql).unwrap_or_else(|e| panic!("engine: {sql}: {e}"));
+    prop_assert_eq!(got, row_oracle::execute_sql(db, sql), "engine and oracle diverge on: {}", sql);
     Ok(())
 }
 
@@ -235,15 +236,10 @@ fn parity_across_batch_boundaries() {
             "select T.b, S.v from T, S where T.a = S.k and T.b <> 2",
             "select distinct b, c from T where a is not null order by b, c limit 40",
         ] {
-            let mut batch = Engine::new();
-            batch.set_row_engine(false);
-            batch.set_parallelism(parallelism);
-            let mut row = Engine::new();
-            row.set_row_engine(true);
-            row.set_parallelism(1);
-            let got = batch.execute_sql(&db, sql).unwrap();
-            let expect = row.execute_sql(&db, sql).unwrap();
-            assert_eq!(got, expect, "parallelism {parallelism}, sql: {sql}");
+            let mut engine = Engine::new();
+            engine.set_parallelism(parallelism);
+            let got = engine.execute_sql(&db, sql).unwrap();
+            assert_eq!(got, row_oracle::execute_sql(&db, sql), "parallelism {parallelism}, sql: {sql}");
         }
     }
 }

@@ -62,7 +62,7 @@ pub enum FailAction {
         message: String,
     },
     /// Panic with this message. Exercises the panic-isolation paths
-    /// (`parallel_map`'s `catch_unwind`, the caches' poison recovery).
+    /// (`morsel_map`'s `catch_unwind`, the caches' poison recovery).
     Panic(String),
     /// Seeded stochastic fault: on each pass an xorshift stream derived
     /// from `seed` decides (deterministically, in pass order) whether to

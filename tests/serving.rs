@@ -19,7 +19,7 @@ fn db() -> Database {
 }
 
 /// A mixed profile so both PPA phases (presence rounds, absence rounds,
-/// and the per-tuple parameterized probes) execute.
+/// and the probes against materialized preference results) execute.
 fn mixed_profile(db: &Database) -> Profile {
     datagen::random_profile(
         db,
