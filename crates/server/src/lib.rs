@@ -5,16 +5,19 @@
 //!
 //! A threaded TCP server exposing the personalization engine over the qp
 //! wire protocol (length-prefixed JSON frames; see `qp_client::wire`).
-//! One thread per connection, one request in flight per connection,
-//! backed by `Personalizer::serving(Arc<SnapshotStore>)` so writers can
-//! publish new database epochs while requests are in flight.
+//! The accept thread blocks in `accept` and hands each connection to a
+//! parked worker thread, spawning one only when none is parked; a worker
+//! serves one connection at a time, one request in flight, and parks
+//! again when it ends. Requests run on a `Personalizer::serving(Arc<SnapshotStore>)`
+//! built per connection, so writers can publish new database epochs
+//! while requests are in flight.
 //!
 //! Robustness is the point of this crate, not a bolt-on:
 //!
 //! * **Deadlines** — the wait for a frame header runs under
 //!   [`ServerConfig::idle_timeout`]; frame bodies and response writes run
 //!   under the tighter [`ServerConfig::io_timeout`], so a stalled client
-//!   cannot pin a handler thread.
+//!   cannot pin a worker thread.
 //! * **Admission before parsing** — every frame buys an admission permit
 //!   *before* its JSON is parsed; a shed request is answered with a
 //!   typed `overloaded` error having cost nothing downstream. The accept
@@ -26,9 +29,10 @@
 //! * **Panic isolation** — request dispatch runs under `catch_unwind`;
 //!   a panicking handler turns into an `internal` protocol error and a
 //!   closed connection while the server keeps serving.
-//! * **Graceful shutdown** — [`Server::shutdown`] stops accepting,
-//!   drains in-flight requests under [`ServerConfig::drain_timeout`],
-//!   then severs straggler connections.
+//! * **Graceful shutdown** — [`Server::shutdown`] wakes the accept
+//!   thread with one connect of its own and stops accepting, drains
+//!   in-flight requests under [`ServerConfig::drain_timeout`], severs
+//!   straggler connections, then releases and joins the parked workers.
 //!
 //! Under the `failpoints` feature the connection loop passes the
 //! `net.read`, `net.write`, and `net.write.short` chaos sites
@@ -39,10 +43,11 @@ pub mod testsupport;
 
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -148,11 +153,76 @@ struct Shared {
     connections: AtomicUsize,
     conns: Mutex<HashMap<u64, TcpStream>>,
     next_conn_id: AtomicU64,
+    workers: Mutex<Workers>,
 }
 
 impl Shared {
     fn count(&self, name: &str) {
         self.metrics.counter(name).inc();
+    }
+
+    fn workers(&self) -> MutexGuard<'_, Workers> {
+        self.workers.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The connection workers. A worker serves one connection at a time and
+/// between connections parks on its channel until the accept thread
+/// hands it the next one. Nothing of a connection outlives it in the
+/// worker: its reader, `Personalizer` and slot are built for it and
+/// dropped with it, so a reused worker starts every connection afresh.
+#[derive(Default)]
+struct Workers {
+    /// Set by shutdown; a worker that finishes a connection afterwards
+    /// exits instead of parking.
+    closed: bool,
+    next_id: u64,
+    /// Every worker not yet reaped, by id.
+    all: HashMap<u64, Worker>,
+    /// Ids of the parked workers, the most recently parked last.
+    parked: Vec<u64>,
+}
+
+struct Worker {
+    /// Hands the worker its next connection; dropping it ends the
+    /// worker's wait.
+    next: Sender<Conn>,
+    handle: thread::JoinHandle<()>,
+}
+
+/// An accepted connection and the slot it holds.
+struct Conn {
+    stream: TcpStream,
+    slot: Slot,
+}
+
+/// One claimed connection slot: counted in `connections`, with a stream
+/// clone in `conns` so shutdown can sever it. Dropping the slot — when
+/// its connection ends, when the hand-off fails, or when the worker
+/// serving it unwinds — releases both.
+struct Slot {
+    shared: Arc<Shared>,
+    id: u64,
+}
+
+impl Slot {
+    fn claim(shared: &Arc<Shared>, stream: &TcpStream) -> Slot {
+        let id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
+        if let Ok(clone) = stream.try_clone() {
+            shared.conns.lock().unwrap_or_else(PoisonError::into_inner).insert(id, clone);
+        }
+        let open = shared.connections.fetch_add(1, Ordering::AcqRel) + 1;
+        shared.metrics.gauge("server.connections.open").set(open as i64);
+        Slot { shared: Arc::clone(shared), id }
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        let shared = &self.shared;
+        shared.conns.lock().unwrap_or_else(PoisonError::into_inner).remove(&self.id);
+        let open = shared.connections.fetch_sub(1, Ordering::AcqRel) - 1;
+        shared.metrics.gauge("server.connections.open").set(open as i64);
     }
 }
 
@@ -168,7 +238,6 @@ impl Server {
     /// Binds, spawns the accept loop, and returns immediately.
     pub fn start(config: ServerConfig, store: Arc<SnapshotStore>) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let mut resilience = Resilience::new();
@@ -208,6 +277,7 @@ impl Server {
             connections: AtomicUsize::new(0),
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
+            workers: Mutex::new(Workers::default()),
         });
 
         let accept_shared = Arc::clone(&shared);
@@ -254,7 +324,14 @@ impl Server {
         }
         self.shared.shutting_down.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept_thread.take() {
-            handle.join().ok();
+            // The accept thread blocks in `accept`: one connect wakes it,
+            // and it sees the flag before serving that connection. Should
+            // the connect fail, the thread is left to exit on the next
+            // connection rather than blocking shutdown.
+            let wake = TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_secs(1));
+            if wake.is_ok() {
+                handle.join().ok();
+            }
         }
 
         let initial = self.shared.in_flight.load(Ordering::Acquire);
@@ -279,6 +356,7 @@ impl Server {
         while self.shared.connections.load(Ordering::Acquire) > 0 && Instant::now() < grace {
             thread::sleep(Duration::from_millis(1));
         }
+        release_parked_workers(&self.shared);
 
         // With every connection gone, push buffered registration records
         // to disk so a restart recovers everything that was acknowledged.
@@ -318,10 +396,13 @@ impl Drop for Server {
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     loop {
+        let accepted = listener.accept();
+        // Shutdown wakes this thread with a connect of its own: check the
+        // flag after every accept so that connection is never served.
         if shared.shutting_down.load(Ordering::Acquire) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 shared.count("server.connections.accepted");
                 if shared.connections.load(Ordering::Acquire)
@@ -330,14 +411,27 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                     shed_connection(&shared, stream);
                     continue;
                 }
-                spawn_handler(&shared, stream);
+                let slot = Slot::claim(&shared, &stream);
+                hand_off(&shared, Conn { stream, slot });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
+            // The peer reset the connection before it was accepted.
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionAborted => {}
+            // A hard error such as EMFILE: back off instead of spinning.
             Err(_) => thread::sleep(Duration::from_millis(10)),
         }
     }
+}
+
+/// Where shutdown connects to wake the accept thread: the bound address,
+/// or loopback of the same family when the server is bound to the
+/// unspecified address (`0.0.0.0` or `::`), which is no destination.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// Accept-level shedding: the connection bound is hit, so the brand-new
@@ -381,47 +475,85 @@ fn shed_connection(shared: &Shared, mut stream: TcpStream) {
         .ok();
 }
 
-fn spawn_handler(shared: &Arc<Shared>, stream: TcpStream) {
-    let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-    if let Ok(clone) = stream.try_clone() {
-        shared
-            .conns
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(conn_id, clone);
+/// Hands a connection to the most recently parked worker (its stack and
+/// allocator arena are the warmest), or to a new worker when none is
+/// parked. If no thread can be spawned the connection drops, releasing
+/// its slot, and the peer sees a reset.
+fn hand_off(shared: &Arc<Shared>, mut conn: Conn) {
+    let mut workers = shared.workers();
+    while let Some(id) = workers.parked.pop() {
+        shared.metrics.gauge("server.workers.parked").set(workers.parked.len() as i64);
+        let Some(worker) = workers.all.get(&id) else { continue };
+        match worker.next.send(conn) {
+            Ok(()) => return,
+            // The worker is gone; try the next one.
+            Err(mpsc::SendError(back)) => conn = back,
+        }
     }
-    shared.connections.fetch_add(1, Ordering::AcqRel);
-    shared
-        .metrics
-        .gauge("server.connections.open")
-        .set(shared.connections.load(Ordering::Acquire) as i64);
-
-    let handler_shared = Arc::clone(shared);
+    // Workers end only by unwinding or at shutdown; reap the former.
+    workers.all.retain(|_, w| !w.handle.is_finished());
+    let id = workers.next_id;
+    workers.next_id += 1;
+    let (next, parked) = mpsc::channel();
+    let worker_shared = Arc::clone(shared);
     let spawned = thread::Builder::new()
-        .name(format!("qp-server-conn-{conn_id}"))
-        .spawn(move || {
-            handle_connection(&handler_shared, stream, conn_id);
-            handler_shared
-                .conns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(&conn_id);
-            handler_shared.connections.fetch_sub(1, Ordering::AcqRel);
-            handler_shared
-                .metrics
-                .gauge("server.connections.open")
-                .set(handler_shared.connections.load(Ordering::Acquire) as i64);
-        });
-    if spawned.is_err() {
-        // Thread spawn failed (fd/thread exhaustion): roll the
-        // registration back; the stream drops and the peer sees a reset.
-        shared
-            .conns
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&conn_id);
-        shared.connections.fetch_sub(1, Ordering::AcqRel);
-        shared.count("server.connections.spawn_failed");
+        .name(format!("qp-server-worker-{id}"))
+        .spawn(move || serve_connections(&worker_shared, id, conn, parked));
+    match spawned {
+        Ok(handle) => {
+            workers.all.insert(id, Worker { next, handle });
+        }
+        Err(_) => shared.count("server.connections.spawn_failed"),
+    }
+}
+
+/// A worker's life: serve a connection, park, and serve the next one
+/// handed over, until shutdown closes the pool. The counters tick before
+/// the connection is served, so a client's first reply implies them.
+fn serve_connections(shared: &Arc<Shared>, id: u64, first: Conn, parked: Receiver<Conn>) {
+    shared.count("server.workers.spawned");
+    let mut conn = first;
+    loop {
+        let Conn { stream, slot } = conn;
+        handle_connection(shared, stream);
+        // Park before releasing the slot: whoever sees the slot free also
+        // finds this worker parked, so the next connection reuses it.
+        let closed = {
+            let mut workers = shared.workers();
+            if !workers.closed {
+                workers.parked.push(id);
+                shared.metrics.gauge("server.workers.parked").set(workers.parked.len() as i64);
+            }
+            workers.closed
+        };
+        drop(slot);
+        if closed {
+            return;
+        }
+        match parked.recv() {
+            Ok(next) => {
+                shared.count("server.workers.reused");
+                conn = next;
+            }
+            Err(_) => return,
+        }
+    }
+}
+
+/// Closes the pool, wakes every parked worker by dropping its sender, and
+/// joins it. A worker still serving a connection that the drain did not
+/// end exits on its own when that connection does.
+fn release_parked_workers(shared: &Shared) {
+    let parked: Vec<Worker> = {
+        let mut workers = shared.workers();
+        workers.closed = true;
+        let ids = std::mem::take(&mut workers.parked);
+        ids.iter().filter_map(|id| workers.all.remove(id)).collect()
+    };
+    shared.metrics.gauge("server.workers.parked").set(0);
+    for Worker { next, handle } in parked {
+        drop(next);
+        handle.join().ok();
     }
 }
 
@@ -436,7 +568,7 @@ enum ConnExit {
     ShuttingDown,
 }
 
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, _conn_id: u64) {
+fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     stream.set_nodelay(true).ok();
     stream.set_write_timeout(Some(shared.config.io_timeout)).ok();
     let reader_stream = match stream.try_clone() {
@@ -454,10 +586,10 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, _conn_id: u64) {
 
     let exit = connection_loop(shared, &mut reader, &mut writer, &mut personalizer);
     match exit {
-        ConnExit::Clean | ConnExit::ShuttingDown => {}
+        // `write_response` counts the failed write where it happens.
+        ConnExit::Clean | ConnExit::ShuttingDown | ConnExit::WriteError => {}
         ConnExit::IdleTimeout => shared.count("server.connections.idle_closed"),
         ConnExit::ReadError => shared.count("server.connections.read_errors"),
-        ConnExit::WriteError => shared.count("server.connections.write_errors"),
         ConnExit::Poisoned => shared.count("server.connections.poisoned"),
         ConnExit::ChaosAbort => shared.count("server.connections.chaos_aborted"),
     }

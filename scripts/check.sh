@@ -85,6 +85,14 @@ QP_PARALLELISM=4 cargo test -q -p qp-core --features failpoints --test chaos_soa
 # registering over the wire, steady + chaos legs.
 echo "==> cargo build (qp-server, qp-client)"
 cargo build --release -p qp-server -p qp-client
+# Binary smoke: the server serves until stdin closes, then shuts down.
+# Its accept thread blocks in `accept`, so a shutdown that never wakes it
+# hangs here until the timeout, on a loopback and on a wildcard bind.
+for bind in 127.0.0.1:0 0.0.0.0:0; do
+  echo "==> qp-server binary smoke ($bind)"
+  echo | timeout 30 target/release/qp-server "$bind" --movies 200 >/dev/null \
+    || { echo "ERROR: qp-server on $bind did not exit cleanly after stdin EOF"; exit 1; }
+done
 echo "==> cargo test (server integration, failpoints)"
 cargo test -q --features failpoints --test server_integration -- --test-threads=1
 echo "==> bench-serving smoke (small scale)"

@@ -9,11 +9,13 @@
 //! and the plain tests here would otherwise observe armed sites.
 
 use std::io::{Read, Write};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use qp_client::{wire, Client, DeltaSpec, ErrorCode, Json, PersonalizeCall, Response};
-use qp_server::testsupport::{als_profile_dsl, quick_config, wait_for, TestServer};
+use qp_server::testsupport::{als_profile_dsl, fixture_db, quick_config, wait_for, TestServer};
 use qp_server::{assert_server_error, ServerConfig};
+use qp_storage::SnapshotStore;
 
 /// Reads one response frame off a raw stream.
 fn read_response(raw: &mut std::net::TcpStream) -> Response {
@@ -235,7 +237,89 @@ fn accept_queue_sheds_connections_over_the_bound() {
     drop(first);
     wait_for(Duration::from_secs(5), "slot to free", || ts.server().open_connections() == 0);
     ts.client().ping().expect("slot freed after disconnect");
+    // The worker parked before it freed the slot, so it serves the
+    // connection that took the slot; the shed one never reached a worker.
+    assert_eq!(ts.counter("server.workers.spawned"), 1);
+    assert_eq!(ts.counter("server.workers.reused"), 1);
     ts.shutdown();
+}
+
+#[test]
+fn a_reused_worker_serves_each_connection_afresh() {
+    // A worker outlives its connections; the connection's personalizer
+    // must not. Were it kept, its plan cache would hand the re-registered
+    // profile's query the closure of the old degree.
+    let mut ts = TestServer::spawn();
+    let line = |peak: f64| format!("doi(MOVIE.duration = around(120, 30)) = (e({peak}), 0)");
+    let top_doi = |client: &mut Client| {
+        let answer = client
+            .personalize(
+                PersonalizeCall::new("dana", "select title from MOVIE").k(1).algorithm("spa"),
+            )
+            .expect("personalize");
+        answer.tuples.first().expect("a top tuple").doi
+    };
+    let end = |client: Client| {
+        drop(client);
+        wait_for(Duration::from_secs(5), "the connection to end", || {
+            ts.server().open_connections() == 0
+        });
+    };
+
+    let mut client = ts.client();
+    client.register_profile("dana", &line(0.3)).expect("register");
+    let before = top_doi(&mut client);
+    assert!((before - 0.3).abs() < 1e-9, "top doi {before}");
+    end(client);
+    let mut client = ts.client();
+    client.register_profile("dana", &line(0.9)).expect("re-register");
+    end(client);
+
+    let mut fresh = ts.client();
+    let after = top_doi(&mut fresh);
+    assert!((after - 0.9).abs() < 1e-9, "a fresh connection sees the new degree: {after}");
+    assert_eq!(ts.counter("server.workers.spawned"), 1, "one worker served every connection");
+    assert_eq!(ts.counter("server.workers.reused"), 2, "the parked worker served this one");
+    ts.shutdown();
+}
+
+#[test]
+fn idle_server_shuts_down_promptly_on_any_bind_address() {
+    // The accept thread blocks in `accept`; shutdown must wake it, also
+    // when the server listens on the unspecified address.
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let mut ts = TestServer::spawn_with(ServerConfig {
+            addr: addr.to_string(),
+            ..quick_config()
+        });
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            ts.shutdown();
+            done.send(()).ok();
+        });
+        finished
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|_| panic!("a server bound to {addr} did not shut down within 2 s"));
+    }
+}
+
+#[test]
+fn shutdown_releases_parked_workers() {
+    let store = Arc::new(SnapshotStore::new(fixture_db(300)));
+    let mut ts = TestServer::spawn_on(quick_config(), Arc::clone(&store));
+    for _ in 0..3 {
+        ts.client().ping().expect("ping");
+        wait_for(Duration::from_secs(5), "the connection to end", || {
+            ts.server().open_connections() == 0
+        });
+    }
+    assert_eq!(ts.counter("server.workers.spawned"), 1, "sequential connections share a worker");
+    ts.shutdown();
+    drop(ts);
+    // A parked worker holds the server's state, and with it the store.
+    wait_for(Duration::from_secs(5), "the server to release the store", || {
+        Arc::strong_count(&store) == 1
+    });
 }
 
 #[test]
@@ -462,9 +546,14 @@ fn graceful_shutdown_drains_in_flight_requests() {
     // its response bytes are written, so the register call above can
     // leave a stale nonzero reading after its client already returned —
     // shutting down on that signal alone can beat the workers out of
-    // the accept backlog and RST all of them before any is served.
+    // the accept backlog and RST all of them before any is served. Also
+    // wait until every worker is connected (the registration was the
+    // first connection): a fast first answer can otherwise close the
+    // listener before a slow-starting worker thread connects.
     wait_for(Duration::from_secs(5), "worker traffic to be in flight", || {
-        ts.counter("server.requests.personalize") >= 1 && ts.server().in_flight() > 0
+        ts.counter("server.connections.accepted") >= 4
+            && ts.counter("server.requests.personalize") >= 1
+            && ts.server().in_flight() > 0
     });
     let report = ts.shutdown();
     assert_eq!(report.aborted, 0, "the drain window covers in-flight requests");
@@ -515,12 +604,68 @@ mod chaos {
     }
 
     #[test]
+    fn panic_outside_dispatch_releases_the_connection_slot() {
+        let _scenario = FailScenario::setup();
+        let mut ts = TestServer::spawn_with(ServerConfig {
+            max_connections: 1,
+            ..quick_config()
+        });
+        // `net.read` runs before `dispatch`'s catch_unwind: the worker
+        // itself unwinds, and its slot must go with it.
+        failpoint::arm("net.read", FailAction::Panic("injected read panic".into()));
+        let mut doomed = ts.client();
+        assert_connection_broken!(doomed.ping());
+        wait_for(Duration::from_secs(5), "the unwound slot to free", || {
+            ts.server().open_connections() == 0
+        });
+
+        failpoint::clear();
+        ts.client().ping().expect("the freed slot admits the next connection");
+        assert_eq!(ts.counter("server.connections.shed"), 0);
+        ts.shutdown();
+    }
+
+    #[test]
+    fn a_failed_response_write_counts_once() {
+        let _scenario = FailScenario::setup();
+        let mut ts = TestServer::spawn();
+        // Every response write first waits 300 ms: time for the peer to
+        // reset the socket under it.
+        failpoint::arm("net.write", FailAction::Delay(300));
+        let mut raw = ts.raw_stream();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).expect("set timeout");
+        let ping = qp_client::wire::Request::Ping.to_json();
+        wire::write_frame(&mut raw, &ping).expect("first ping");
+        // Wait for the pong without consuming it: closing a socket with
+        // unread bytes resets the connection instead of closing it.
+        raw.peek(&mut [0u8; 1]).expect("the pong arrives");
+        wire::write_frame(&mut raw, &ping).expect("second ping");
+        wait_for(Duration::from_secs(5), "the second ping to be read", || {
+            ts.counter("server.frames.received") >= 2
+        });
+        drop(raw);
+
+        wait_for(Duration::from_secs(5), "the connection to end", || {
+            ts.server().open_connections() == 0
+        });
+        assert_eq!(ts.counter("server.responses"), 1, "only the pong was written");
+        assert_eq!(ts.counter("server.connections.write_errors"), 1);
+        ts.shutdown();
+    }
+
+    #[test]
     fn shutdown_drains_a_deliberately_slow_request() {
         let _scenario = FailScenario::setup();
         let mut ts = TestServer::spawn();
         let addr = ts.addr();
         let dsl = als_profile_dsl(&ts.store().snapshot());
         ts.client().register_profile("al", &dsl).expect("register");
+        // The registration stays in flight until its response bytes are
+        // written, which can trail the client's return: let it clear, so
+        // the in-flight gate below sees the slow request and not it.
+        wait_for(Duration::from_secs(5), "the registration to clear", || {
+            ts.server().in_flight() == 0
+        });
 
         // Every scan sleeps 300 ms: the request is guaranteed to still
         // be in flight when shutdown starts, and guaranteed to finish
