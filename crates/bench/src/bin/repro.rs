@@ -94,6 +94,12 @@ use qp_datagen::{queries, ImdbScale};
 use qp_sql::parse_query;
 use qp_storage::Database;
 
+/// The figure names `repro` accepts as arguments.
+const FIGURES: [&str; 15] = [
+    "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
+    "ablation", "guardrails", "trace", "all",
+];
+
 fn main() {
     let mut scale = Scale::Medium;
     let mut runs = 3usize;
@@ -115,7 +121,10 @@ fn main() {
                 });
             }
             "--runs" => {
-                runs = args.next().and_then(|v| v.parse().ok()).unwrap_or(3);
+                runs = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--runs expects a run count");
+                    std::process::exit(2);
+                });
             }
             "--deadline-ms" => {
                 deadline_ms = args.next().and_then(|v| v.parse().ok());
@@ -158,7 +167,11 @@ fn main() {
                 });
                 users_set = true;
             }
-            other => figures.push(other.to_string()),
+            figure if FIGURES.contains(&figure) => figures.push(figure.to_string()),
+            other => {
+                eprintln!("unknown argument `{other}` (figures: {})", FIGURES.join(" "));
+                std::process::exit(2);
+            }
         }
     }
     if figures.is_empty() {
@@ -1023,7 +1036,7 @@ fn bench_vectorized(db: &Database, runs: usize) {
 
     let runs = runs.max(7);
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut engine = qp_exec::Engine::new();
+    let engine = qp_core::engine();
 
     // --- scan + filter + join -------------------------------------------
     // A selective filter over the movie table joined against a derived
@@ -1048,7 +1061,7 @@ fn bench_vectorized(db: &Database, runs: usize) {
         fakecrit(&graph, &qc, SelectionCriterion::TopK(20)).expect("preference selection");
     let ranking = Ranking::default();
     let (ans, ppa_time) = qp_bench::min_time(runs, || {
-        ppa(db, &mut engine, &initial, &profile, &selected, 1, &ranking).expect("PPA")
+        ppa(db, &engine, &initial, &profile, &selected, 1, &ranking).expect("PPA")
     });
     assert!(
         ans.1.parameterized_queries <= selected.len(),

@@ -26,10 +26,9 @@
 //!     brought to the new epoch from the delta's rows alone (the delta
 //!     path below);
 //!   - **rematerialized** — every other touched entry (a `NOT IN`
-//!     sub-query, a derived table, grouping, a varying degree over a
-//!     join), and any entry whose delta evaluation failed, is re-executed
-//!     in full. If that fails too the entry is **dropped**, and the next
-//!     PPA run rebuilds it.
+//!     sub-query, a derived table, grouping), and any entry whose delta
+//!     evaluation failed, is re-executed in full. If that fails too the
+//!     entry is **dropped**, and the next PPA run rebuilds it.
 //!
 //! **The delta path.** For each FROM binding whose relation the delta
 //! touched:
@@ -50,9 +49,9 @@
 //! index join, where the placeholder is a plain filter, it is an id list.
 //!
 //! **The gate.** An entry takes the delta path when its select has no
-//! sub-query, derived table or grouping, fetches no rows by id itself,
-//! and its degree is a constant — or it has a single binding, the tid
-//! binding, whose degree reads only the tuple's own row.
+//! sub-query, derived table or grouping and fetches no rows by id itself.
+//! Every registered entry's degree is a constant (see *What is never
+//! cached*).
 //!
 //! **Byte identity.** A patched result equals a recompute against the
 //! new epoch. A tuple qualifies iff it has a *derivation*: one live row
@@ -65,19 +64,26 @@
 //! * An old tuple that is neither dropped nor a candidate lost no
 //!   derivation: every derivation through a deleted row is found by the
 //!   pre-delta evaluation of that row's binding. So it still qualifies.
-//! * Degrees never change. With a constant degree every derivation
-//!   yields the same value; with a single binding a tuple's one
-//!   derivation is its own row, and rows are immutable.
+//! * Degrees never change: the degree is a constant, so every derivation
+//!   yields the same value.
 //! * Result rows are kept in canonical ascending-tuple-id order, and row
 //!   ids are never reused (`Table` tombstones slots, so a delete-then-
 //!   reinsert lands in a fresh slot with a fresh id): a tuple id names
 //!   the same row in every epoch that has it.
 //!
-//! **What is never cached.** Selects referencing the per-profile elastic
-//! UDF closures (`qp_elastic*` — re-registered with different semantics
-//! on every classify) and selects over relations the catalog cannot
-//! resolve are excluded from the registry entirely: their SQL text does
-//! not determine their meaning across requests.
+//! **What is never cached.** Selects whose degree is not a literal — an
+//! elastic preference's per-tuple degree — and selects over relations
+//! the catalog cannot resolve are excluded from the registry entirely.
+//! The first exclusion is about memory, not meaning: an elastic select's
+//! text carries every parameter of its degree, so it would be as sound a
+//! key as any other. But its text also carries the user's peak and
+//! join-degree scale, so hardly two users share an entry, and every
+//! profile of the serving benchmark holds an elastic preference. On a
+//! 2-CPU host, a prototype that registered them grew perfbench's `scan`
+//! peak RSS from 17.0 to 23.7 MB (+39 %) and `churn`'s by 22 % (its
+//! registry from 270 to 330 entries, with `write_p50_ms` +13 % for a
+//! 13 % faster `p50_ms`). Sharing one membership across users (ROADMAP
+//! item 3) is the way to register them.
 //!
 //! **What survives a publish.** Data deltas invalidate *no* per-user
 //! selection memos: preference selection reads the catalog and the
@@ -115,10 +121,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Registry key: one materialized preference result per database epoch
-/// per preference-query text. SQL-text keying is sound here because the
-/// generated preference selects embed their degree constants as literals
-/// (and elastic-UDF selects, whose text does *not* pin their semantics,
-/// are never registered).
+/// per preference-query text. SQL-text keying is sound because a
+/// generated preference select's text fixes its result: degrees are
+/// literals, and functions are built into every engine once
+/// ([`crate::answer::degree`]). Only constant-degree selects are
+/// registered, to bound memory (module docs).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct MatKey {
     /// [`Database::id`] — epochs of the same logical database share it.
@@ -237,9 +244,10 @@ impl MatRegistry {
     }
 
     /// Registers a freshly built materialization for `db`'s epoch.
-    /// Selects whose text does not pin their semantics (elastic UDFs,
-    /// unresolvable relations) are silently refused. Returns how many
-    /// superseded-epoch entries were evicted to make room (normally 0).
+    /// Selects whose degree is not a literal (elastic preferences, kept
+    /// out to bound memory) and selects over unresolvable relations are
+    /// silently refused. Returns how many superseded-epoch entries were
+    /// evicted to make room (normally 0).
     pub(crate) fn register(
         &self,
         db: &Database,
@@ -249,9 +257,11 @@ impl MatRegistry {
         tid_binding: &str,
         result: Arc<PrefResult>,
     ) -> usize {
+        let constant_degree =
+            matches!(select.items.get(1), Some(SelectItem::Expr { expr: Expr::Literal(_), .. }));
         let mut shape = SelectShape::default();
         scan_select(db.catalog(), select, &mut shape);
-        if shape.elastic || shape.unknown {
+        if !constant_degree || shape.unknown {
             return 0;
         }
         let bindings = delta_bindings(db.catalog(), select, &shape, tid_binding);
@@ -371,8 +381,6 @@ struct SelectShape {
     subquery: bool,
     /// Reads a derived table.
     derived: bool,
-    /// Calls a per-profile elastic UDF (`qp_elastic*`).
-    elastic: bool,
     /// References a relation the catalog cannot resolve.
     unknown: bool,
 }
@@ -443,10 +451,7 @@ fn scan_expr(catalog: &Catalog, e: &Expr, shape: &mut SelectShape) {
             scan_expr(catalog, expr, shape);
             scan_query(catalog, subquery, shape);
         }
-        Expr::Function { name, args, .. } => {
-            if name.to_ascii_lowercase().starts_with("qp_elastic") {
-                shape.elastic = true;
-            }
+        Expr::Function { args, .. } => {
             for a in args {
                 scan_expr(catalog, a, shape);
             }
@@ -487,10 +492,8 @@ fn delta_bindings(
             _ => false,
         })
     });
-    let constant_degree =
-        matches!(select.items.get(1), Some(SelectItem::Expr { expr: Expr::Literal(_), .. }));
     let has_tid = bindings.iter().any(|(b, _)| b == tid_binding);
-    (has_tid && !fetches_by_rowid && (constant_degree || bindings.len() == 1)).then_some(bindings)
+    (has_tid && !fetches_by_rowid).then_some(bindings)
 }
 
 /// The delta path (module docs): `entry`'s result on `after`, computed
@@ -629,7 +632,7 @@ impl Maintainer {
     /// A maintainer over `store` with a fresh registry and a private
     /// engine for patch/rematerialize executions.
     pub fn new(store: Arc<SnapshotStore>) -> Self {
-        let engine = Engine::new();
+        let engine = crate::answer::degree::engine();
         let metrics = Arc::clone(engine.metrics());
         Maintainer {
             store,
@@ -915,7 +918,7 @@ mod tests {
     }
 
     #[test]
-    fn elastic_and_unknown_selects_are_refused() {
+    fn varying_degree_and_unknown_selects_are_refused() {
         let store = seed_store();
         let registry = MatRegistry::new();
         let engine = Engine::new();
@@ -924,11 +927,10 @@ mod tests {
         let plain = pref_select(PREF_SQL);
         let result = materialized(&engine, &db, &plain);
 
-        let elastic = pref_select(
-            "select R.rowid as qp_tid, qp_elastic_0(R.a) as qp_degree from R where R.a >= 3",
-        );
-        registry.register(&db, &elastic, 0.8, r, "R", Arc::clone(&result));
-        assert_eq!(registry.len(), 0, "elastic selects must never be cached");
+        let varying =
+            pref_select("select R.rowid as qp_tid, R.b * 0.01 as qp_degree from R where R.a >= 3");
+        registry.register(&db, &varying, 0.8, r, "R", Arc::clone(&result));
+        assert_eq!(registry.len(), 0, "only constant-degree selects are registered");
 
         let unknown = pref_select("select NOPE.rowid as qp_tid, 1.0 as qp_degree from NOPE");
         registry.register(&db, &unknown, 1.0, r, "NOPE", result);

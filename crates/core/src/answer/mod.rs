@@ -17,6 +17,7 @@
 //!   results stream out as soon as the MEDI bound proves no better tuple
 //!   can still appear.
 
+pub mod degree;
 pub mod explain;
 pub mod maint;
 pub mod ppa;

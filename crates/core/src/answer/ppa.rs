@@ -379,9 +379,11 @@ fn probe_chunk(
 }
 
 /// Runs PPA and returns the (emission-ordered) answer plus stats.
+/// `engine` must come from [`crate::answer::degree::engine`], which
+/// builds in the functions elastic preference queries call.
 pub fn ppa(
     db: &Database,
-    engine: &mut Engine,
+    engine: &Engine,
     initial: &Query,
     profile: &Profile,
     selected: &[SelectedPreference],
@@ -398,7 +400,7 @@ pub fn ppa(
 #[allow(clippy::too_many_arguments)]
 pub fn ppa_limited(
     db: &Database,
-    engine: &mut Engine,
+    engine: &Engine,
     initial: &Query,
     profile: &Profile,
     selected: &[SelectedPreference],
@@ -427,7 +429,7 @@ pub fn ppa_limited(
 #[allow(clippy::too_many_arguments)]
 pub fn ppa_guarded(
     db: &Database,
-    engine: &mut Engine,
+    engine: &Engine,
     initial: &Query,
     profile: &Profile,
     selected: &[SelectedPreference],
@@ -447,7 +449,7 @@ pub fn ppa_guarded(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ppa_run(
     db: &Database,
-    engine: &mut Engine,
+    engine: &Engine,
     initial: &Query,
     profile: &Profile,
     selected: &[SelectedPreference],
@@ -483,7 +485,7 @@ pub(crate) fn ppa_run(
     // and construction of the S/A queries — everything before the first
     // phase runs.
     let mut prepare_span = tracer.span("ppa.prepare");
-    let infos = classify(db, engine, profile, selected);
+    let infos = classify(db, profile, selected);
 
     // order presence queries by increasing satisfaction selectivity,
     // absence queries by increasing failure selectivity

@@ -5,33 +5,35 @@
 //! query's projection, groups satisfying fewer than L preferences are
 //! dropped (`HAVING count(*) >= L`), and the survivors are ranked by a
 //! user-defined aggregate ranking function over the collected degrees.
-//! The whole thing executes as *one SQL statement*.
+//! The whole thing executes as *one SQL statement*, and that statement's
+//! text names everything it computes: the ranking is the aggregate of
+//! the request's [`crate::RankingKind`], and elastic degrees carry their
+//! parameters ([`crate::answer::degree`]).
 //!
 //! Shortcomings the paper points out (and PPA addresses): the answer is
 //! not self-explanatory, ranking can only use the satisfied preferences,
 //! 1–n absence preferences cost a `NOT IN` sub-query each, and no tuple
 //! is returned before the entire statement finishes.
 
-use qp_exec::{AggState, Engine, ExecError, QueryGuard};
+use qp_exec::{Engine, ExecError, QueryGuard};
 use qp_sql::{builder, Expr, Query, SelectItem};
-use qp_storage::{Database, Value};
+use qp_storage::Database;
 
+use crate::answer::degree;
 use crate::answer::subquery::{classify, satisfaction_select};
 use crate::answer::{PersonalizedAnswer, PersonalizedTuple};
 use crate::error::PrefError;
 use crate::profile::Profile;
-use crate::ranking::{Ranking, RankingKind};
+use crate::ranking::Ranking;
 use crate::select::SelectedPreference;
-
-/// Name of the ranking aggregate UDF SPA registers.
-const RANK_UDF: &str = "qp_rank";
 
 /// Runs SPA: builds the personalized SQL statement, executes it, and
 /// returns the ranked answer. `l` is the minimum number of the K selected
-/// preferences a tuple must satisfy.
+/// preferences a tuple must satisfy. `engine` must come from
+/// [`degree::engine`], which builds in the functions the statement calls.
 pub fn spa(
     db: &Database,
-    engine: &mut Engine,
+    engine: &Engine,
     initial: &Query,
     profile: &Profile,
     selected: &[SelectedPreference],
@@ -50,7 +52,7 @@ pub fn spa(
 #[allow(clippy::too_many_arguments)]
 pub fn spa_guarded(
     db: &Database,
-    engine: &mut Engine,
+    engine: &Engine,
     initial: &Query,
     profile: &Profile,
     selected: &[SelectedPreference],
@@ -64,10 +66,9 @@ pub fn spa_guarded(
     run_span.attr("k", selected.len());
     run_span.attr("l", l);
     // Rewriting: classification plus assembly of the single UNION ALL /
-    // HAVING / ranking-UDF statement.
+    // HAVING / ranking-aggregate statement.
     let build_span = tracer.span("spa.build");
-    let query = build_spa_query(db, engine, initial, profile, selected, l)?;
-    register_rank_udf(engine, ranking.kind);
+    let query = build_spa_query(db, initial, profile, selected, l, ranking)?;
     build_span.finish();
     qp_storage::failpoint::check("spa.execute")
         .map_err(|msg| PrefError::from(ExecError::Fault(msg)))?;
@@ -93,14 +94,16 @@ pub fn spa_guarded(
 }
 
 /// Builds (without executing) the single personalized SQL statement —
-/// exposed separately so tests and benchmarks can inspect it.
+/// exposed separately so tests and benchmarks can inspect it. The text
+/// alone determines the answer: any engine from [`degree::engine`]
+/// executes it to [`spa`]'s rows and scores.
 pub fn build_spa_query(
     db: &Database,
-    engine: &mut Engine,
     initial: &Query,
     profile: &Profile,
     selected: &[SelectedPreference],
     l: usize,
+    ranking: &Ranking,
 ) -> Result<Query, PrefError> {
     let selects = initial.selects();
     if selects.len() != 1 {
@@ -119,7 +122,7 @@ pub fn build_spa_query(
         )));
     }
     let catalog = db.catalog();
-    let infos = classify(db, engine, profile, selected);
+    let infos = classify(db, profile, selected);
 
     // canonical names c0.. for the initial projection inside sub-queries
     let base_items: Vec<Expr> = initial_select
@@ -163,7 +166,7 @@ pub fn build_spa_query(
         outer = outer.expr(builder::bare_col(format!("c{i}")));
     }
     outer = outer
-        .expr_as(builder::func(RANK_UDF, vec![builder::bare_col("degree")]), "qp_score")
+        .expr_as(degree::rank(ranking.kind, builder::bare_col("degree")), "qp_score")
         .from(qp_sql::TableRef::derived(union, "qp_u"));
     for i in 0..base_items.len() {
         outer = outer.group_by(builder::bare_col(format!("c{i}")));
@@ -179,28 +182,6 @@ pub fn build_spa_query(
         desc: true,
     });
     Ok(query)
-}
-
-/// Registers the positive ranking function as an aggregate UDF
-/// (`r(degree)` of Example 6).
-pub fn register_rank_udf(engine: &mut Engine, kind: RankingKind) {
-    struct RankState {
-        kind: RankingKind,
-        degrees: Vec<f64>,
-    }
-    impl AggState for RankState {
-        fn update(&mut self, args: &[Value]) {
-            if let Some(d) = args.first().and_then(Value::as_f64) {
-                self.degrees.push(d.max(0.0));
-            }
-        }
-        fn finish(&mut self) -> Value {
-            Value::Float(self.kind.positive(&self.degrees))
-        }
-    }
-    engine
-        .registry_mut()
-        .register_aggregate(RANK_UDF, move || Box::new(RankState { kind, degrees: vec![] }));
 }
 
 fn initial_column_names(initial: &Query, ncols: usize) -> Vec<String> {
@@ -226,10 +207,10 @@ fn initial_column_names(initial: &Query, ncols: usize) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::graph::PersonalizationGraph;
-    use crate::ranking::MixedKind;
+    use crate::ranking::{MixedKind, RankingKind};
     use crate::select::{fakecrit::fakecrit, QueryContext, SelectionCriterion};
     use qp_sql::parse_query;
-    use qp_storage::{Attribute, DataType};
+    use qp_storage::{Attribute, DataType, Value};
 
     /// Small movies DB with W. Allen comedies, a musical, and old films.
     fn movies_db() -> Database {
@@ -307,9 +288,9 @@ mod tests {
         let qc = QueryContext::from_query(db.catalog(), &initial).unwrap();
         let selected = fakecrit(&g, &qc, SelectionCriterion::TopK(3)).unwrap();
         assert_eq!(selected.len(), 3);
-        let mut engine = Engine::new();
+        let engine = degree::engine();
         let ranking = Ranking::new(RankingKind::Inflationary, MixedKind::CountWeighted);
-        spa(&db, &mut engine, &initial, &p, &selected, l, &ranking).unwrap()
+        spa(&db, &engine, &initial, &p, &selected, l, &ranking).unwrap()
     }
 
     #[test]
@@ -362,11 +343,11 @@ mod tests {
         let initial = parse_query("select title from MOVIE").unwrap();
         let qc = QueryContext::from_query(db.catalog(), &initial).unwrap();
         let selected = fakecrit(&g, &qc, SelectionCriterion::TopK(3)).unwrap();
-        let mut engine = Engine::new();
+        let engine = degree::engine();
         let r = Ranking::default();
-        assert!(spa(&db, &mut engine, &initial, &p, &selected, 0, &r).is_err());
-        assert!(spa(&db, &mut engine, &initial, &p, &selected, 4, &r).is_err());
-        assert!(spa(&db, &mut engine, &initial, &p, &[], 1, &r).is_err());
+        assert!(spa(&db, &engine, &initial, &p, &selected, 0, &r).is_err());
+        assert!(spa(&db, &engine, &initial, &p, &selected, 4, &r).is_err());
+        assert!(spa(&db, &engine, &initial, &p, &[], 1, &r).is_err());
     }
 
     #[test]
@@ -377,8 +358,7 @@ mod tests {
         let initial = parse_query("select title from MOVIE").unwrap();
         let qc = QueryContext::from_query(db.catalog(), &initial).unwrap();
         let selected = fakecrit(&g, &qc, SelectionCriterion::TopK(3)).unwrap();
-        let mut engine = Engine::new();
-        let q = build_spa_query(&db, &mut engine, &initial, &p, &selected, 2).unwrap();
+        let q = build_spa_query(&db, &initial, &p, &selected, 2, &Ranking::default()).unwrap();
         let sql = q.to_string();
         assert!(sql.contains("UNION ALL"), "{sql}");
         assert!(sql.contains("HAVING count(*) >= 2"), "{sql}");
@@ -397,10 +377,10 @@ mod tests {
         let qc = QueryContext::from_query(db.catalog(), &initial).unwrap();
         let selected = fakecrit(&g, &qc, SelectionCriterion::TopK(3)).unwrap();
         let mut scores = Vec::new();
+        let engine = degree::engine();
         for kind in RankingKind::ALL {
-            let mut engine = Engine::new();
             let r = Ranking::new(kind, MixedKind::CountWeighted);
-            let a = spa(&db, &mut engine, &initial, &p, &selected, 2, &r).unwrap();
+            let a = spa(&db, &engine, &initial, &p, &selected, 2, &r).unwrap();
             let zelig = a
                 .tuples
                 .iter()

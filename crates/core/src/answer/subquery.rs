@@ -12,15 +12,16 @@
 //!   would be wrong).
 //!
 //! Elastic preferences are translated into range conditions (`BETWEEN`
-//! over the elastic support); their per-tuple degree is computed by a
-//! scalar UDF registered on the engine.
+//! over the elastic support); their per-tuple degree is the `qp_doi`
+//! built-in with every parameter of the preference in the text
+//! ([`crate::answer::degree`]).
 
-use qp_exec::Engine;
 use qp_sql::{builder, Expr, Query, Select, SelectItem, TableRef};
 use qp_storage::{Catalog, Database, Value};
 use qp_storage::histogram::CmpOp;
 use qp_storage::schema::JoinMultiplicity;
 
+use crate::answer::degree;
 use crate::error::PrefError;
 use crate::preference::CompareOp;
 use crate::profile::Profile;
@@ -48,12 +49,6 @@ pub struct PrefQueryInfo {
     pub d_plus: f64,
     /// Failure degree (`d⁻` ≤ 0, scaled).
     pub d_minus: f64,
-    /// Name of the registered scalar UDF computing the per-tuple
-    /// satisfaction degree (elastic presence preferences only).
-    pub elastic_udf: Option<String>,
-    /// Name of the UDF computing the per-tuple failure degree (elastic
-    /// preferences whose failure region is value-dependent).
-    pub elastic_neg_udf: Option<String>,
     /// Estimated selectivity of the satisfaction region (used by PPA to
     /// order presence queries).
     pub sat_selectivity: f64,
@@ -62,11 +57,9 @@ pub struct PrefQueryInfo {
     pub fail_selectivity: f64,
 }
 
-/// Builds integration info for every selected preference, registering the
-/// needed elastic UDFs on the engine.
+/// Builds integration info for every selected preference.
 pub fn classify(
     db: &Database,
-    engine: &mut Engine,
     profile: &Profile,
     selected: &[SelectedPreference],
 ) -> Vec<PrefQueryInfo> {
@@ -83,40 +76,12 @@ pub fn classify(
             } else {
                 IntegrationKind::Absence1N
             };
-            let jd = sp.join_degree;
-            let mut elastic_udf = None;
-            let mut elastic_neg_udf = None;
-            if sel.doi.is_elastic() {
-                let doi = sel.doi.clone();
-                if sel.is_presence() {
-                    let name = format!("qp_elastic_{i}");
-                    let doi_pos = doi.clone();
-                    engine.registry_mut().register_scalar(&name, move |args: &[Value]| {
-                        match args.first().and_then(Value::as_f64) {
-                            Some(v) => Value::Float(jd * doi_pos.d_plus_at(v)),
-                            None => Value::Null,
-                        }
-                    });
-                    elastic_udf = Some(name);
-                }
-                let neg_name = format!("qp_elastic_neg_{i}");
-                let doi_neg = doi;
-                engine.registry_mut().register_scalar(&neg_name, move |args: &[Value]| {
-                    match args.first().and_then(Value::as_f64) {
-                        Some(v) => Value::Float(jd * doi_neg.d_minus_at(v)),
-                        None => Value::Null,
-                    }
-                });
-                elastic_neg_udf = Some(neg_name);
-            }
             let (sat_selectivity, fail_selectivity) = estimate_selectivities(db, profile, sp);
             PrefQueryInfo {
                 index: i,
                 kind,
                 d_plus: sp.d_plus_peak(profile),
                 d_minus: sp.d_minus(profile),
-                elastic_udf,
-                elastic_neg_udf,
                 sat_selectivity,
                 fail_selectivity,
             }
@@ -226,43 +191,6 @@ pub fn merge_filter(select: &mut Select, expr: Expr) {
     };
 }
 
-/// The degree expression for a satisfaction (presence-form) sub-query:
-/// a constant, or the elastic UDF applied to the condition attribute.
-pub fn satisfaction_degree_expr(
-    catalog: &Catalog,
-    profile: &Profile,
-    sp: &SelectedPreference,
-    info: &PrefQueryInfo,
-    cond_binding: &str,
-) -> Expr {
-    match &info.elastic_udf {
-        Some(udf) => {
-            let sel = sp.sel(profile);
-            let attr_name = &catalog.relation(sel.attr.rel).attributes[sel.attr.idx as usize].name;
-            builder::func(udf.clone(), vec![builder::col(cond_binding, attr_name)])
-        }
-        None => builder::float(info.d_plus),
-    }
-}
-
-/// The degree expression for a failure (absence-query) sub-query.
-pub fn failure_degree_expr(
-    catalog: &Catalog,
-    profile: &Profile,
-    sp: &SelectedPreference,
-    info: &PrefQueryInfo,
-    cond_binding: &str,
-) -> Expr {
-    match &info.elastic_neg_udf {
-        Some(udf) => {
-            let sel = sp.sel(profile);
-            let attr_name = &catalog.relation(sel.attr.rel).attributes[sel.attr.idx as usize].name;
-            builder::func(udf.clone(), vec![builder::col(cond_binding, attr_name)])
-        }
-        None => builder::float(info.d_minus),
-    }
-}
-
 /// Builds the satisfaction-region sub-select for a preference:
 /// the initial query extended with the path joins and the satisfaction
 /// condition (or, for 1–n absence, a `NOT IN` exclusion). `projection`
@@ -289,8 +217,8 @@ pub fn satisfaction_select(
             let cond_binding = append_path(catalog, &mut s, profile, sp, &prefix)?;
             let cond = sel.satisfaction_expr(&cond_binding, &attr_name(sel.attr));
             merge_filter(&mut s, cond);
-            let degree = satisfaction_degree_expr(catalog, profile, sp, info, &cond_binding);
-            s.items = projection(&anchor, degree);
+            let column = builder::col(&cond_binding, attr_name(sel.attr));
+            s.items = projection(&anchor, degree::satisfaction(profile, sp, column));
         }
         IntegrationKind::Absence1N => {
             // inner: anchor rowids related to the disliked values
@@ -349,8 +277,8 @@ pub fn failure_select(
     let attr_name = &catalog.relation(sel.attr.rel).attributes[sel.attr.idx as usize].name;
     let cond = sel.failure_expr(&cond_binding, attr_name);
     merge_filter(&mut s, cond);
-    let degree = failure_degree_expr(catalog, profile, sp, info, &cond_binding);
-    s.items = projection(&anchor, degree);
+    let column = builder::col(&cond_binding, attr_name);
+    s.items = projection(&anchor, degree::failure(profile, sp, column));
     Ok(s)
 }
 
@@ -436,9 +364,8 @@ mod tests {
     fn classification_matches_example6() {
         let db = db();
         let p = profile(&db);
-        let mut engine = Engine::new();
         let sel = selected(&db, &p);
-        let infos = classify(&db, &mut engine, &p, &sel);
+        let infos = classify(&db, &p, &sel);
         // find by description
         let by_desc: Vec<(String, IntegrationKind)> = sel
             .iter()
@@ -464,9 +391,8 @@ mod tests {
     fn presence_subquery_matches_paper_q1() {
         let db = db();
         let p = profile(&db);
-        let mut engine = Engine::new();
         let sel = selected(&db, &p);
-        let infos = classify(&db, &mut engine, &p, &sel);
+        let infos = classify(&db, &p, &sel);
         let initial = parse_query("select title from MOVIE").unwrap();
         let i = sel
             .iter()
@@ -492,7 +418,7 @@ mod tests {
         assert!(sql.contains("= 'W. Allen'"), "{sql}");
         assert!(sql.contains("0.72"), "{sql}");
         // executes without error
-        let rs = engine.execute(&db, &Query::from_select(s)).unwrap();
+        let rs = degree::engine().execute(&db, &Query::from_select(s)).unwrap();
         assert_eq!(rs.columns, vec!["title", "degree"]);
     }
 
@@ -500,9 +426,8 @@ mod tests {
     fn absence11_subquery_negates_operator() {
         let db = db();
         let p = profile(&db);
-        let mut engine = Engine::new();
         let sel = selected(&db, &p);
-        let infos = classify(&db, &mut engine, &p, &sel);
+        let infos = classify(&db, &p, &sel);
         let initial = parse_query("select title from MOVIE").unwrap();
         let i = sel
             .iter()
@@ -523,7 +448,7 @@ mod tests {
         assert!(sql.contains(">= 1980"), "{sql}");
         // degree of satisfying the absence of (year < 1980) is d⁺ = 0
         assert!(sql.contains("0.0"), "{sql}");
-        let rs = engine.execute(&db, &Query::from_select(s)).unwrap();
+        let rs = degree::engine().execute(&db, &Query::from_select(s)).unwrap();
         // movies from 1980 onwards: 1980, 1981 ... mids 5? (1975+i, i<5) → 1980, 1979...
         assert_eq!(rs.len(), 0); // years 1975..1979 — none >= 1980
     }
@@ -532,9 +457,8 @@ mod tests {
     fn absence1n_subquery_uses_not_in() {
         let db = db();
         let p = profile(&db);
-        let mut engine = Engine::new();
         let sel = selected(&db, &p);
-        let infos = classify(&db, &mut engine, &p, &sel);
+        let infos = classify(&db, &p, &sel);
         let initial = parse_query("select title from MOVIE").unwrap();
         let i = sel
             .iter()
@@ -556,7 +480,7 @@ mod tests {
         assert!(sql.contains("'musical'"), "{sql}");
         // degree of satisfying "no musical" is 0.7 · 0.8 (join degree)
         assert!((infos[i].d_plus - 0.56).abs() < 1e-12);
-        let rs = engine.execute(&db, &Query::from_select(s)).unwrap();
+        let rs = degree::engine().execute(&db, &Query::from_select(s)).unwrap();
         assert_eq!(rs.len(), 5); // no GENRE rows at all → nothing excluded
     }
 
@@ -564,9 +488,8 @@ mod tests {
     fn selectivity_ordering_inputs() {
         let db = db();
         let p = profile(&db);
-        let mut engine = Engine::new();
         let sel = selected(&db, &p);
-        let infos = classify(&db, &mut engine, &p, &sel);
+        let infos = classify(&db, &p, &sel);
         for info in &infos {
             assert!((0.0..=1.0).contains(&info.sat_selectivity));
             assert!((0.0..=1.0).contains(&info.fail_selectivity));

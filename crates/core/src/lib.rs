@@ -62,6 +62,7 @@ pub use admission::{
     BreakerDecision, BreakerState, BreakerTransition, CircuitBreaker, Resilience, RetryPolicy,
     Shed,
 };
+pub use answer::degree::engine;
 pub use answer::explain::{explain_answer, explain_tuple};
 pub use answer::maint::{MaintOutcome, Maintainer, MatRegistry};
 pub use answer::ppa::{ppa_guarded, ppa_limited};

@@ -417,8 +417,10 @@ impl<'db> DbRef<'db> {
     /// immutable database even while writers publish updates.
     ///
     /// The returned pin's lifetime is the handle's `'db`, not the
-    /// `&self` borrow, so the caller can keep using `&mut self` (for the
-    /// engine) while the pin is alive.
+    /// `&self` borrow, so [`Personalizer::run`] can keep using `&mut self`
+    /// while the pin is alive: it applies a request's overrides
+    /// (parallelism, cache switches, tracer) to the engine and the
+    /// preference cache, and restores them afterwards.
     fn pin(&self) -> DbPin<'db> {
         match self {
             DbRef::Borrowed(db) => DbPin(PinInner::Borrowed(db)),
@@ -458,9 +460,9 @@ pub(crate) fn env_flag(name: &str) -> bool {
         .unwrap_or(false)
 }
 
-/// The personalization engine: owns a query engine (UDF registrations for
-/// elastic preferences and ranking functions land there) and a database
-/// handle — borrowed ([`Personalizer::new`]) or shared
+/// The personalization engine: owns a query engine, built with the
+/// functions personalized statements call ([`crate::engine`]), and a
+/// database handle — borrowed ([`Personalizer::new`]) or shared
 /// ([`Personalizer::shared`]).
 pub struct Personalizer<'db> {
     db: DbRef<'db>,
@@ -485,7 +487,7 @@ impl<'db> Personalizer<'db> {
         };
         Personalizer {
             db,
-            engine: Engine::new(),
+            engine: crate::answer::degree::engine(),
             pref_cache,
             resilience: None,
             profiles: None,
@@ -838,7 +840,7 @@ impl<'db> Personalizer<'db> {
     /// The open-breaker path: serve the unpersonalized query and report
     /// the substitution as a `"breaker"` fallback degradation.
     fn breaker_short_circuit(
-        &mut self,
+        &self,
         db: &Database,
         query: &Query,
         guard: &QueryGuard,
@@ -1011,7 +1013,7 @@ impl<'db> Personalizer<'db> {
     /// attempt — the deadline and cancellation token keep binding) and the
     /// substitution is reported as a [`DegradeEvent::Fallback`].
     fn personalize_inner(
-        &mut self,
+        &self,
         db: &Database,
         profile: &Profile,
         query: &Query,
@@ -1060,7 +1062,7 @@ impl<'db> Personalizer<'db> {
         let outcome = match options.algorithm {
             AnswerAlgorithm::Spa => spa_guarded(
                 db,
-                &mut self.engine,
+                &self.engine,
                 query,
                 profile,
                 &selected,
@@ -1071,7 +1073,7 @@ impl<'db> Personalizer<'db> {
             .map(|a| (a, None, None, Degradation::default())),
             AnswerAlgorithm::Ppa => ppa_run(
                 db,
-                &mut self.engine,
+                &self.engine,
                 query,
                 profile,
                 &selected,
@@ -1112,7 +1114,7 @@ impl<'db> Personalizer<'db> {
     /// personalization, reporting the substitution.
     #[allow(clippy::too_many_arguments)]
     fn fallback(
-        &mut self,
+        &self,
         db: &Database,
         query: &Query,
         selected: Vec<SelectedPreference>,
@@ -1149,7 +1151,7 @@ impl<'db> Personalizer<'db> {
 
     /// The unpersonalized query's rows as a doi-0 answer.
     fn plain_answer(
-        &mut self,
+        &self,
         db: &Database,
         query: &Query,
         guard: &QueryGuard,

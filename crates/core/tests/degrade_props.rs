@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use qp_core::answer::ppa::{ppa, ppa_guarded};
 use qp_core::select::{fakecrit::fakecrit, QueryContext, SelectionCriterion};
 use qp_core::{PersonalizationGraph, Profile, Ranking};
-use qp_exec::{Engine, QueryGuard};
+use qp_exec::QueryGuard;
 use qp_sql::parse_query;
 use qp_storage::{Attribute, DataType, Database, Value};
 
@@ -109,16 +109,16 @@ proptest! {
         let selected = fakecrit(&graph, &qc, SelectionCriterion::TopK(3)).unwrap();
         let ranking = Ranking::default();
 
-        let mut engine = Engine::new();
-        let (full, _) = ppa(&db, &mut engine, &initial, &profile, &selected, l, &ranking).unwrap();
+        let engine = qp_core::engine();
+        let (full, _) = ppa(&db, &engine, &initial, &profile, &selected, l, &ranking).unwrap();
 
         let guard = QueryGuard::builder()
             .max_output_rows(out_budget)
             .max_intermediate_rows(inter_budget)
             .build();
-        let mut engine = Engine::new();
+        let engine = qp_core::engine();
         let (partial, _stats, degradation) = ppa_guarded(
-            &db, &mut engine, &initial, &profile, &selected, l, &ranking, None, &guard,
+            &db, &engine, &initial, &profile, &selected, l, &ranking, None, &guard,
         ).expect("guarded PPA must degrade, not error");
 
         // every emitted tuple appears in the complete answer, doi intact

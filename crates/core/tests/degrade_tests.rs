@@ -134,11 +134,11 @@ fn assert_ranked_prefix(
 fn expired_deadline_degrades_to_ok() {
     let _s = FailScenario::setup();
     let (db, profile, initial, selected) = setup();
-    let mut engine = Engine::new();
+    let engine = qp_core::engine();
     let ranking = Ranking::default();
     let guard = QueryGuard::builder().deadline(Duration::ZERO).build();
     let (answer, _stats, degradation) =
-        ppa_guarded(&db, &mut engine, &initial, &profile, &selected, 1, &ranking, None, &guard)
+        ppa_guarded(&db, &engine, &initial, &profile, &selected, 1, &ranking, None, &guard)
             .expect("degrades, never errors");
     assert!(!degradation.is_complete());
     match &degradation.events[0] {
@@ -155,15 +155,15 @@ fn output_budget_yields_exact_ranked_prefix() {
     let _s = FailScenario::setup();
     let (db, profile, initial, selected) = setup();
     let ranking = Ranking::default();
-    let mut engine = Engine::new();
+    let engine = qp_core::engine();
     let (full, _) =
-        ppa(&db, &mut engine, &initial, &profile, &selected, 1, &ranking).unwrap();
+        ppa(&db, &engine, &initial, &profile, &selected, 1, &ranking).unwrap();
     assert_eq!(full.tuples.len(), 5);
 
-    let mut engine = Engine::new();
+    let engine = qp_core::engine();
     let guard = QueryGuard::builder().max_output_rows(2).build();
     let (partial, _stats, degradation) =
-        ppa_guarded(&db, &mut engine, &initial, &profile, &selected, 1, &ranking, None, &guard)
+        ppa_guarded(&db, &engine, &initial, &profile, &selected, 1, &ranking, None, &guard)
             .expect("degrades, never errors");
     assert_eq!(partial.tuples.len(), 2);
     assert!(!degradation.is_complete());
@@ -183,12 +183,12 @@ fn output_budget_yields_exact_ranked_prefix() {
 fn cancellation_degrades_to_ok() {
     let _s = FailScenario::setup();
     let (db, profile, initial, selected) = setup();
-    let mut engine = Engine::new();
+    let engine = qp_core::engine();
     let token = CancelToken::new();
     token.cancel();
     let guard = QueryGuard::builder().cancel_token(token).build();
     let (answer, _stats, degradation) =
-        ppa_guarded(&db, &mut engine, &initial, &profile, &selected, 1, &Ranking::default(), None, &guard)
+        ppa_guarded(&db, &engine, &initial, &profile, &selected, 1, &Ranking::default(), None, &guard)
             .expect("degrades, never errors");
     assert!(answer.tuples.is_empty());
     assert!(!degradation.is_complete());
@@ -202,10 +202,10 @@ fn cancellation_degrades_to_ok() {
 fn unlimited_guard_reports_complete() {
     let _s = FailScenario::setup();
     let (db, profile, initial, selected) = setup();
-    let mut engine = Engine::new();
+    let engine = qp_core::engine();
     let (answer, _stats, degradation) = ppa_guarded(
         &db,
-        &mut engine,
+        &engine,
         &initial,
         &profile,
         &selected,
@@ -308,14 +308,14 @@ mod failpoints {
         let _s = FailScenario::setup();
         let (db, profile, initial, selected) = setup();
         let ranking = Ranking::default();
-        let mut engine = Engine::new();
-        let (full, _) = ppa(&db, &mut engine, &initial, &profile, &selected, 1, &ranking).unwrap();
+        let engine = qp_core::engine();
+        let (full, _) = ppa(&db, &engine, &initial, &profile, &selected, 1, &ranking).unwrap();
 
         failpoint::arm("ppa.absence", FailAction::Error("absence phase died".into()));
-        let mut engine = Engine::new();
+        let engine = qp_core::engine();
         let (partial, _stats, degradation) = ppa_guarded(
             &db,
-            &mut engine,
+            &engine,
             &initial,
             &profile,
             &selected,
@@ -345,18 +345,18 @@ mod failpoints {
         let _s = FailScenario::setup();
         let (db, profile, initial, selected) = setup();
         let ranking = Ranking::default();
-        let mut engine = Engine::new();
-        let (full, _) = ppa(&db, &mut engine, &initial, &profile, &selected, 1, &ranking).unwrap();
+        let engine = qp_core::engine();
+        let (full, _) = ppa(&db, &engine, &initial, &profile, &selected, 1, &ranking).unwrap();
 
         // first presence query passes, the second faults
         failpoint::arm(
             "ppa.presence",
             FailAction::ErrorAfter { skip: 1, message: "mid-phase fault".into() },
         );
-        let mut engine = Engine::new();
+        let engine = qp_core::engine();
         let (partial, _stats, degradation) = ppa_guarded(
             &db,
-            &mut engine,
+            &engine,
             &initial,
             &profile,
             &selected,

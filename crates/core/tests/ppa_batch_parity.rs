@@ -18,7 +18,6 @@ use qp_core::answer::subquery::{
 };
 use qp_core::select::{fakecrit::fakecrit, QueryContext, SelectedPreference, SelectionCriterion};
 use qp_core::{PersonalizationGraph, Profile, Ranking};
-use qp_exec::Engine;
 use qp_sql::{builder, parse_query, Expr, Query, Select, SelectItem};
 use qp_storage::{Attribute, DataType, Database, Row, Value};
 
@@ -126,8 +125,8 @@ fn per_tuple_reference(
     selected: &[SelectedPreference],
     ranking: &Ranking,
 ) -> HashMap<u64, Expected> {
-    let mut engine = Engine::new();
-    let infos = classify(db, &mut engine, profile, selected);
+    let engine = qp_core::engine();
+    let infos = classify(db, profile, selected);
     let initial = initial.selects()[0];
     let projection = |_anchor: &str, degree: Expr| -> Vec<SelectItem> {
         vec![
@@ -208,10 +207,10 @@ fn ppa_matches_the_per_tuple_reference() {
             let mut serial = None;
             for parallelism in [1usize, 4] {
                 let ctx = format!("extra={extra}, l={l}, parallelism={parallelism}");
-                let mut engine = Engine::new();
+                let mut engine = qp_core::engine();
                 engine.set_parallelism(parallelism);
                 let (answer, stats) =
-                    ppa(&db, &mut engine, &initial, &profile, &selected, l, &ranking).unwrap();
+                    ppa(&db, &engine, &initial, &profile, &selected, l, &ranking).unwrap();
 
                 let mut got: Vec<u64> =
                     answer.tuples.iter().map(|t| t.tuple_id.expect("PPA tuples carry ids")).collect();
@@ -253,8 +252,8 @@ fn probe_batch_size_counter_records_probed_tuples() {
     let selected = fakecrit(&graph, &qc, SelectionCriterion::TopK(3)).unwrap();
     let ranking = Ranking::default();
 
-    let mut engine = Engine::new();
-    ppa(&db, &mut engine, &initial, &profile, &selected, 1, &ranking).unwrap();
+    let engine = qp_core::engine();
+    ppa(&db, &engine, &initial, &profile, &selected, 1, &ranking).unwrap();
     assert!(
         engine.metrics().counter("ppa.probe.batch_size").get() > 0,
         "PPA should record tuples probed against materialized results"

@@ -23,7 +23,6 @@ use std::collections::HashMap;
 use qp_core::answer::subquery::{classify, satisfaction_select};
 use qp_core::select::{fakecrit::fakecrit, QueryContext, SelectionCriterion};
 use qp_core::{MixedKind, PersonalizationGraph, PrefError, Profile, Ranking, RankingKind};
-use qp_exec::Engine;
 use qp_sql::{builder, Query, SelectItem, TableRef};
 use qp_storage::Database;
 use rand::rngs::StdRng;
@@ -126,11 +125,11 @@ impl SimulatedUser {
         db: &Database,
         query: &Query,
     ) -> Result<LatentEvaluator, PrefError> {
-        let mut engine = Engine::new();
+        let engine = qp_core::engine();
         let graph = PersonalizationGraph::build(&self.latent);
         let qc = QueryContext::from_query(db.catalog(), query)?;
         let selected = fakecrit(&graph, &qc, SelectionCriterion::TopK(1000))?;
-        let infos = classify(db, &mut engine, &self.latent, &selected);
+        let infos = classify(db, &self.latent, &selected);
         let initial = query.selects()[0];
         let first_binding = match &initial.from[0] {
             TableRef::Relation { name, alias } => alias.clone().unwrap_or_else(|| name.clone()),

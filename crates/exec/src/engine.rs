@@ -43,7 +43,9 @@ impl ExecStats {
 }
 
 /// The query engine: a function registry plus entry points for executing
-/// SQL text or pre-built ASTs against a [`Database`].
+/// SQL text or pre-built ASTs against a [`Database`]. The registry is
+/// fixed at construction ([`Engine::with_functions`]), so a query's text
+/// names the same functions for the engine's whole life.
 ///
 /// ```
 /// use qp_exec::Engine;
@@ -142,14 +144,22 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine with the built-in functions registered and observability
-    /// off (a disabled [`Tracer`], an empty [`MetricsRegistry`]).
+    /// An engine with the SQL built-in functions registered and
+    /// observability off (a disabled [`Tracer`], an empty
+    /// [`MetricsRegistry`]).
     ///
     /// Concurrency defaults come from the environment so test/CI legs can
     /// sweep configurations without code changes: `QP_PARALLELISM` sets
     /// the worker count (default 1 = serial), `QP_DISABLE_PLAN_CACHE=1`
     /// starts the engine without a plan cache.
     pub fn new() -> Self {
+        Engine::with_functions(FunctionRegistry::new())
+    }
+
+    /// [`Engine::new`] with `functions` as its function set. Register
+    /// user-defined functions on the registry before building the engine;
+    /// an engine never gains a function afterwards.
+    pub fn with_functions(functions: FunctionRegistry) -> Self {
         let metrics = Arc::new(MetricsRegistry::new());
         let counters = EngineCounters::new(&metrics);
         let parallelism = std::env::var("QP_PARALLELISM")
@@ -163,7 +173,7 @@ impl Engine {
             Some(Arc::new(PlanCache::new()))
         };
         Engine {
-            registry: FunctionRegistry::new(),
+            registry: functions,
             tracer: Tracer::disabled(),
             metrics,
             counters,
@@ -210,12 +220,7 @@ impl Engine {
         self.plan_cache = cache;
     }
 
-    /// The function registry (for UDF registration).
-    pub fn registry_mut(&mut self) -> &mut FunctionRegistry {
-        &mut self.registry
-    }
-
-    /// Read access to the registry.
+    /// The engine's functions.
     pub fn registry(&self) -> &FunctionRegistry {
         &self.registry
     }

@@ -22,6 +22,20 @@ pub enum ExecError {
     DuplicateBinding(String),
     /// A function name is not registered.
     UnknownFunction(String),
+    /// A parameter of a parameterized function is not a literal.
+    NonLiteralArgument {
+        /// The function called.
+        function: String,
+        /// The argument's position, counting from 1.
+        position: usize,
+    },
+    /// A function call's arguments do not fit the function.
+    InvalidArgument {
+        /// The function called.
+        function: String,
+        /// What is wrong with the arguments.
+        reason: String,
+    },
     /// An aggregate appeared where none is allowed, or vice versa.
     MisplacedAggregate(String),
     /// A non-grouped column was referenced in an aggregate query.
@@ -105,6 +119,12 @@ impl fmt::Display for ExecError {
             ExecError::AmbiguousColumn(c) => write!(f, "ambiguous column `{c}`"),
             ExecError::DuplicateBinding(b) => write!(f, "duplicate table binding `{b}`"),
             ExecError::UnknownFunction(n) => write!(f, "unknown function `{n}`"),
+            ExecError::NonLiteralArgument { function, position } => {
+                write!(f, "argument {position} of `{function}` must be a literal")
+            }
+            ExecError::InvalidArgument { function, reason } => {
+                write!(f, "invalid arguments to `{function}`: {reason}")
+            }
             ExecError::MisplacedAggregate(n) => {
                 write!(f, "aggregate `{n}` is not allowed in this context")
             }

@@ -3,8 +3,16 @@
 //! The paper's SPA algorithm relies on the DBMS supporting a *user-defined
 //! aggregate* ranking function (`order by r(degree)`, Example 6) and the
 //! elastic-preference rewriting embeds per-tuple doi computations, which we
-//! expose as *scalar UDFs*. Both registries are ordinary string-keyed maps
+//! expose as *scalar UDFs*. The registries are ordinary string-keyed maps
 //! the planner consults at compile time.
+//!
+//! An engine's functions are fixed when it is built
+//! ([`crate::Engine::with_functions`]): a query's text then names the same
+//! functions for as long as the engine lives, so a plan cached under that
+//! text computes what the text says. A function whose behaviour depends on
+//! per-query constants takes them as literal *parameters*
+//! ([`FunctionRegistry::register_bound_scalar`]) instead of being
+//! re-registered under a reused name.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,6 +23,10 @@ use qp_storage::Value;
 /// [`Value::Null`] on inapplicable input, mirroring SQL's NULL
 /// propagation).
 pub type ScalarUdf = Arc<dyn Fn(&[Value]) -> Value + Send + Sync>;
+
+/// Binds a parameterized scalar's literal parameters into the function
+/// evaluated per row, or says why the parameters are invalid.
+pub type ScalarBinder = Arc<dyn Fn(&[Value]) -> Result<ScalarUdf, String> + Send + Sync>;
 
 /// Factory for aggregate state. One [`AggregateFunction`] is registered per
 /// name; one [`AggState`] is created per group.
@@ -40,9 +52,10 @@ where
     }
 }
 
-/// Both registries plus the built-ins.
+/// The registries plus the built-ins.
 pub struct FunctionRegistry {
     scalars: HashMap<String, ScalarUdf>,
+    bound: HashMap<String, ScalarBinder>,
     aggregates: HashMap<String, Arc<dyn AggregateFunction>>,
 }
 
@@ -50,6 +63,7 @@ impl std::fmt::Debug for FunctionRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FunctionRegistry")
             .field("scalars", &self.scalars.keys().collect::<Vec<_>>())
+            .field("bound", &self.bound.keys().collect::<Vec<_>>())
             .field("aggregates", &self.aggregates.keys().collect::<Vec<_>>())
             .finish()
     }
@@ -65,7 +79,11 @@ impl FunctionRegistry {
     /// A registry pre-populated with the SQL built-ins: aggregates `count`,
     /// `sum`, `avg`, `min`, `max` and scalars `abs`, `lower`, `upper`.
     pub fn new() -> Self {
-        let mut r = FunctionRegistry { scalars: HashMap::new(), aggregates: HashMap::new() };
+        let mut r = FunctionRegistry {
+            scalars: HashMap::new(),
+            bound: HashMap::new(),
+            aggregates: HashMap::new(),
+        };
         r.register_aggregate("count", || Box::new(CountState(0)) as Box<dyn AggState>);
         r.register_aggregate("sum", || Box::new(SumState { sum: 0.0, any: false, int: true }) as _);
         r.register_aggregate("avg", || Box::new(AvgState { sum: 0.0, n: 0 }) as _);
@@ -97,6 +115,20 @@ impl FunctionRegistry {
         self.scalars.insert(name.to_lowercase(), Arc::new(f));
     }
 
+    /// Registers (or replaces) a parameterized scalar: a call passes one
+    /// per-row argument followed by parameters that must be literals. The
+    /// planner hands the parameter values to `bind` once per compiled
+    /// call and evaluates the returned function per row on the first
+    /// argument alone, so the parameters cost nothing per row and are
+    /// part of the query's text. An `Err` from `bind` fails the compile.
+    pub fn register_bound_scalar(
+        &mut self,
+        name: &str,
+        bind: impl Fn(&[Value]) -> Result<ScalarUdf, String> + Send + Sync + 'static,
+    ) {
+        self.bound.insert(name.to_lowercase(), Arc::new(bind));
+    }
+
     /// Registers (or replaces) an aggregate function.
     pub fn register_aggregate(
         &mut self,
@@ -109,6 +141,11 @@ impl FunctionRegistry {
     /// Looks up a scalar function.
     pub fn scalar(&self, name: &str) -> Option<ScalarUdf> {
         self.scalars.get(&name.to_lowercase()).cloned()
+    }
+
+    /// Looks up a parameterized scalar's binder.
+    pub(crate) fn bound_scalar(&self, name: &str) -> Option<&ScalarBinder> {
+        self.bound.get(&name.to_lowercase())
     }
 
     /// Looks up an aggregate function.

@@ -48,7 +48,7 @@ pub use batch::{Batch, BATCH_CAPACITY};
 pub use cache::{PlanCache, PlanKey, ShardedCache};
 pub use engine::{Engine, ExecStats};
 pub use error::{ExecError, ResourceKind};
-pub use functions::{AggState, AggregateFunction, ScalarUdf};
+pub use functions::{AggState, AggregateFunction, FunctionRegistry, ScalarBinder, ScalarUdf};
 pub use guard::{CancelToken, QueryGuard, QueryGuardBuilder};
 pub use pool::{
     morsel_map, panic_message, MorselStats, WorkerPanic, MORSEL_MAX_ITEMS, PARALLEL_THRESHOLD,

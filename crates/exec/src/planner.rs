@@ -22,7 +22,7 @@ use qp_storage::{Database, RelId, Value};
 use crate::engine::ExecStats;
 use crate::error::ExecError;
 use crate::expr::PhysExpr;
-use crate::functions::FunctionRegistry;
+use crate::functions::{FunctionRegistry, ScalarUdf};
 use crate::guard::QueryGuard;
 use crate::plan::{AggCall, AggSpec, ExecCtx, Plan, RowIdFetch, ScanEstimate};
 
@@ -883,20 +883,55 @@ impl<'a> Planner<'a> {
                 if *star || self.registry.is_aggregate(name) {
                     return Err(ExecError::MisplacedAggregate(name.clone()));
                 }
-                let f = self
-                    .registry
-                    .scalar(name)
-                    .ok_or_else(|| ExecError::UnknownFunction(name.clone()))?;
+                let (f, row_args) = self.resolve_scalar(name, args)?;
                 PhysExpr::Scalar {
                     name: name.clone(),
                     f,
-                    args: args
+                    args: row_args
                         .iter()
                         .map(|a| self.compile_expr(a, scope, None))
                         .collect::<Result<_, _>>()?,
                 }
             }
         })
+    }
+
+    /// Resolves a scalar call to the function evaluated per row and the
+    /// arguments it reads per row. A parameterized function reads its
+    /// first argument per row; the rest must be literals, bound here once
+    /// per compile.
+    fn resolve_scalar<'e>(
+        &self,
+        name: &str,
+        args: &'e [Expr],
+    ) -> Result<(ScalarUdf, &'e [Expr]), ExecError> {
+        let Some(bind) = self.registry.bound_scalar(name) else {
+            let f = self
+                .registry
+                .scalar(name)
+                .ok_or_else(|| ExecError::UnknownFunction(name.to_string()))?;
+            return Ok((f, args));
+        };
+        let Some((_, params)) = args.split_first() else {
+            return Err(ExecError::InvalidArgument {
+                function: name.to_string(),
+                reason: "expected a value argument".to_string(),
+            });
+        };
+        let params = params
+            .iter()
+            .enumerate()
+            .map(|(i, a)| match a {
+                Expr::Literal(l) => Ok(literal_to_value(l)),
+                _ => Err(ExecError::NonLiteralArgument {
+                    function: name.to_string(),
+                    position: i + 2,
+                }),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let f = bind(&params)
+            .map_err(|reason| ExecError::InvalidArgument { function: name.to_string(), reason })?;
+        Ok((f, &args[..1]))
     }
 
     fn compile_agg_call(&mut self, call: &Expr, scope: &Scope) -> Result<AggCall, ExecError> {
@@ -973,14 +1008,11 @@ impl<'a> Planner<'a> {
                     // happen for nested aggregates
                     return Err(ExecError::MisplacedAggregate(name.clone()));
                 }
-                let f = self
-                    .registry
-                    .scalar(name)
-                    .ok_or_else(|| ExecError::UnknownFunction(name.clone()))?;
+                let (f, row_args) = self.resolve_scalar(name, args)?;
                 PhysExpr::Scalar {
                     name: name.clone(),
                     f,
-                    args: args
+                    args: row_args
                         .iter()
                         .map(|a| self.compile_over_intermediate(a, inter))
                         .collect::<Result<_, _>>()?,

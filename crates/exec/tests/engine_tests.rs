@@ -1,7 +1,9 @@
 //! End-to-end tests for the execution engine on a small movies database
 //! shaped like the paper's schema (§3).
 
-use qp_exec::{AggState, Engine};
+use std::sync::Arc;
+
+use qp_exec::{AggState, Engine, ExecError, FunctionRegistry};
 use qp_storage::{Attribute, DataType, Database, Value};
 
 /// Builds the paper's schema with a small, fully known data set.
@@ -339,10 +341,11 @@ fn between_and_in_list() {
 #[test]
 fn scalar_udf() {
     let db = movies_db();
-    let mut e = Engine::new();
-    e.registry_mut().register_scalar("double", |args: &[Value]| {
+    let mut functions = FunctionRegistry::new();
+    functions.register_scalar("double", |args: &[Value]| {
         args.first().and_then(Value::as_f64).map(|x| Value::Float(x * 2.0)).unwrap_or(Value::Null)
     });
+    let e = Engine::with_functions(functions);
     let rs = e
         .execute_sql(&db, "select double(ticket) from THEATRE where tid = 1")
         .unwrap();
@@ -354,7 +357,6 @@ fn aggregate_udf_like_spa_ranking() {
     // SPA registers a ranking function as a user-defined aggregate:
     // r(degree) = 1 - prod(1 - d_i)  (the inflationary function).
     let db = movies_db();
-    let mut e = Engine::new();
     struct Inflationary(f64);
     impl AggState for Inflationary {
         fn update(&mut self, args: &[Value]) {
@@ -366,7 +368,9 @@ fn aggregate_udf_like_spa_ranking() {
             Value::Float(1.0 - self.0)
         }
     }
-    e.registry_mut().register_aggregate("r", || Box::new(Inflationary(1.0)));
+    let mut functions = FunctionRegistry::new();
+    functions.register_aggregate("r", || Box::new(Inflationary(1.0)));
+    let e = Engine::with_functions(functions);
     let rs = e
         .execute_sql(
             &db,
@@ -382,6 +386,55 @@ fn aggregate_udf_like_spa_ranking() {
     assert_eq!(titles(&rs), vec!["Annie Hall", "Manhattan", "Zelig"]);
     let top = rs.rows[0][1].as_f64().unwrap();
     assert!((top - (1.0 - (1.0 - 0.72) * (1.0 - 0.5))).abs() < 1e-9);
+}
+
+/// A degree function with its constants as literal parameters, the way
+/// personalized statements call theirs: `peak · max(0, 1 − |v − center| /
+/// width)`.
+fn bound_functions() -> FunctionRegistry {
+    let mut functions = FunctionRegistry::new();
+    functions.register_bound_scalar("around", |params: &[Value]| {
+        let [center, width, peak] = params else {
+            return Err(format!("expected 3 parameters, got {}", params.len()));
+        };
+        let (Some(c), Some(w), Some(p)) = (center.as_f64(), width.as_f64(), peak.as_f64()) else {
+            return Err("parameters must be numbers".to_string());
+        };
+        Ok(Arc::new(move |args: &[Value]| match args.first().and_then(Value::as_f64) {
+            Some(v) => Value::Float(p * (1.0 - (v - c).abs() / w).max(0.0)),
+            None => Value::Null,
+        }))
+    });
+    functions
+}
+
+#[test]
+fn bound_scalar_reads_its_parameters_from_the_text() {
+    let db = movies_db();
+    let e = Engine::with_functions(bound_functions());
+    let degree = |sql: &str| e.execute_sql(&db, sql).unwrap().rows[0][0].clone();
+    let q = |peak: f64| {
+        format!("select around(year, 1980.0, 10.0, {peak}) from MOVIE where title = 'Annie Hall'")
+    };
+    // Annie Hall is from 1977: 0.7 of the peak. Texts that differ only in
+    // a parameter are different plans, so each answer is its own.
+    assert_eq!(degree(&q(0.5)), Value::Float(0.5 * 0.7));
+    assert_eq!(degree(&q(-0.25)), Value::Float(-0.25 * 0.7));
+    assert_eq!(degree(&q(0.5)), Value::Float(0.5 * 0.7));
+}
+
+#[test]
+fn bound_scalar_parameters_must_be_literals() {
+    let db = movies_db();
+    let e = Engine::with_functions(bound_functions());
+    let err = e.execute_sql(&db, "select around(year, year, 10.0, 0.5) from MOVIE").unwrap_err();
+    assert_eq!(err, ExecError::NonLiteralArgument { function: "around".into(), position: 2 });
+    let err = e.execute_sql(&db, "select around(year, 1980.0) from MOVIE").unwrap_err();
+    assert!(matches!(err, ExecError::InvalidArgument { .. }), "{err:?}");
+    let err = e.execute_sql(&db, "select around(year, 'x', 10.0, 0.5) from MOVIE").unwrap_err();
+    assert!(matches!(err, ExecError::InvalidArgument { .. }), "{err:?}");
+    let err = e.execute_sql(&db, "select around() from MOVIE").unwrap_err();
+    assert!(matches!(err, ExecError::InvalidArgument { .. }), "{err:?}");
 }
 
 #[test]

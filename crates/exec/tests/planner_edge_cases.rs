@@ -3,7 +3,7 @@
 //! ordering, scalar functions in predicates, and limit/offset-like
 //! interactions.
 
-use qp_exec::Engine;
+use qp_exec::{Engine, FunctionRegistry};
 use qp_storage::{Attribute, DataType, Database, Value};
 
 fn db() -> Database {
@@ -109,10 +109,11 @@ fn union_order_by_position() {
 #[test]
 fn scalar_udf_in_where_clause() {
     let db = db();
-    let mut e = Engine::new();
-    e.registry_mut().register_scalar("half", |args: &[Value]| {
+    let mut functions = FunctionRegistry::new();
+    functions.register_scalar("half", |args: &[Value]| {
         args.first().and_then(Value::as_f64).map(|x| Value::Float(x / 2.0)).unwrap_or(Value::Null)
     });
+    let e = Engine::with_functions(functions);
     let rs = e.execute_sql(&db, "select id from A where half(id) >= 9").unwrap();
     assert_eq!(rs.len(), 2); // ids 18, 19
 }

@@ -6,6 +6,15 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+# Examples leg: the six examples are the library's smoke test, and they
+# drive the public API end to end. Each must run to completion.
+for example in examples/*.rs; do
+  name="$(basename "$example" .rs)"
+  echo "==> example $name"
+  cargo run --release -q --example "$name" >/dev/null \
+    || { echo "ERROR: example $name exited non-zero"; exit 1; }
+done
+
 echo "==> cargo test (workspace)"
 cargo test -q --workspace
 
@@ -39,7 +48,10 @@ cargo test -q -p qp-exec -p qp-core --features failpoints
 # pair, 4 the default serving width, 8 oversubscribes this container so
 # workers contend and steal constantly — and again with both caches
 # bypassed. Parallelism and caching are transparent optimizations, never
-# behavioural switches.
+# behavioural switches. Within one run, tests/long_lived_props.rs pins
+# the caching half: one long-lived personalizer, caches warm and a
+# maintenance registry under writes, answers a random request sequence
+# byte for byte as fresh personalizers do.
 for par in 1 2 4 8; do
   echo "==> cargo test (QP_PARALLELISM=$par)"
   QP_PARALLELISM=$par cargo test -q --workspace

@@ -135,7 +135,7 @@ impl Shell {
             }
             "explain" if rest.first() != Some(&"on") && rest.first() != Some(&"off") && !rest.is_empty() => {
                 let sql = rest.join(" ");
-                let engine = personalized_queries::exec::Engine::new();
+                let engine = personalized_queries::core::engine();
                 let query = personalized_queries::sql::parse_query(&sql).map_err(|e| e.to_string())?;
                 let plan = engine.explain(&self.db, &query).map_err(|e| e.to_string())?;
                 print!("{plan}");
@@ -149,7 +149,7 @@ impl Shell {
                 if sql.is_empty() {
                     return Err("usage: \\analyze <sql>".to_string());
                 }
-                let engine = personalized_queries::exec::Engine::new();
+                let engine = personalized_queries::core::engine();
                 let query = personalized_queries::sql::parse_query(&sql).map_err(|e| e.to_string())?;
                 let plan = engine.explain_analyze(&self.db, &query).map_err(|e| e.to_string())?;
                 print!("{plan}");
@@ -169,7 +169,7 @@ impl Shell {
             }
             "plain" => {
                 let sql = rest.join(" ");
-                let engine = personalized_queries::exec::Engine::new();
+                let engine = personalized_queries::core::engine();
                 let rs = engine.execute_sql(&self.db, &sql).map_err(|e| e.to_string())?;
                 let shown = rs.rows.len().min(20);
                 print!("{}", personalized_queries::exec::ResultSet::new(

@@ -10,7 +10,7 @@ use personalized_queries::core::select::{fakecrit::fakecrit, QueryContext, Selec
 use personalized_queries::core::{
     CompareOp, Doi, MixedKind, PersonalizationGraph, Profile, Ranking, RankingKind,
 };
-use personalized_queries::exec::Engine;
+use personalized_queries::core::engine;
 use personalized_queries::sql::parse_query;
 use personalized_queries::storage::{Attribute, DataType, Database, Value};
 
@@ -112,11 +112,10 @@ proptest! {
         }
         let ranking = Ranking::new(RankingKind::ALL[kind_idx], MixedKind::CountWeighted);
 
-        let mut engine = Engine::new();
-        let spa_answer = spa(&db, &mut engine, &query, &profile, &selected, l, &ranking).unwrap();
-        let mut engine = Engine::new();
+        let engine = engine();
+        let spa_answer = spa(&db, &engine, &query, &profile, &selected, l, &ranking).unwrap();
         let (ppa_answer, _) =
-            ppa(&db, &mut engine, &query, &profile, &selected, l, &ranking).unwrap();
+            ppa(&db, &engine, &query, &profile, &selected, l, &ranking).unwrap();
 
         // identical answer sets (titles are unique by construction)
         let mut spa_titles: Vec<String> =

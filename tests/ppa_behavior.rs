@@ -7,7 +7,7 @@ use personalized_queries::core::select::{fakecrit::fakecrit, QueryContext, Selec
 use personalized_queries::core::{
     MixedKind, PersonalizationGraph, Profile, Ranking, RankingKind,
 };
-use personalized_queries::exec::Engine;
+use personalized_queries::core::engine;
 use personalized_queries::sql::parse_query;
 use personalized_queries::storage::{Attribute, DataType, Database, Value};
 
@@ -70,9 +70,9 @@ fn run(l: usize, kind: RankingKind) -> personalized_queries::core::PersonalizedA
     let qc = QueryContext::from_query(db.catalog(), &q).unwrap();
     let selected = fakecrit(&graph, &qc, SelectionCriterion::TopK(3)).unwrap();
     assert_eq!(selected.len(), 3);
-    let mut engine = Engine::new();
+    let engine = engine();
     let ranking = Ranking::new(kind, MixedKind::CountWeighted);
-    let (answer, stats) = ppa(&db, &mut engine, &q, &p, &selected, l, &ranking).unwrap();
+    let (answer, stats) = ppa(&db, &engine, &q, &p, &selected, l, &ranking).unwrap();
     assert!(stats.total >= stats.first_response.unwrap_or_default());
     answer
 }
@@ -170,8 +170,8 @@ fn doi_values_match_direct_computation() {
     let qc = QueryContext::from_query(db.catalog(), &q).unwrap();
     let selected = fakecrit(&graph, &qc, SelectionCriterion::TopK(3)).unwrap();
     let ranking = Ranking::new(RankingKind::Dominant, MixedKind::Sum);
-    let mut engine = Engine::new();
-    let (answer, _) = ppa(&db, &mut engine, &q, &p, &selected, 1, &ranking).unwrap();
+    let engine = engine();
+    let (answer, _) = ppa(&db, &engine, &q, &p, &selected, 1, &ranking).unwrap();
     for t in &answer.tuples {
         let pos: Vec<f64> = t.satisfied.iter().map(|&i| selected[i].d_plus_peak(&p)).collect();
         let neg: Vec<f64> = t
@@ -202,9 +202,9 @@ fn step3_tuples_satisfying_only_absence_appear() {
     let qc = QueryContext::from_query(db.catalog(), &q).unwrap();
     let selected = fakecrit(&graph, &qc, SelectionCriterion::TopK(1)).unwrap();
     assert_eq!(selected.len(), 1);
-    let mut engine = Engine::new();
+    let engine = engine();
     let ranking = Ranking::default();
-    let (answer, stats) = ppa(&db, &mut engine, &q, &p, &selected, 1, &ranking).unwrap();
+    let (answer, stats) = ppa(&db, &engine, &q, &p, &selected, 1, &ranking).unwrap();
     // movies 3..=6 are musicals (fail); the others satisfy by absence
     let ids: Vec<i64> = answer.tuples.iter().map(|t| t.tuple_id.unwrap() as i64).collect();
     assert_eq!(ids.len(), 6, "{ids:?}");
@@ -231,10 +231,10 @@ fn early_termination_skips_unreachable_l() {
     let q = parse_query("select title from MOVIE").unwrap();
     let qc = QueryContext::from_query(db.catalog(), &q).unwrap();
     let selected = fakecrit(&graph, &qc, SelectionCriterion::TopK(2)).unwrap();
-    let mut engine = Engine::new();
+    let engine = engine();
     // the two presence regions are disjoint: no movie satisfies both
     let (answer, _) =
-        ppa(&db, &mut engine, &q, &p, &selected, 2, &Ranking::default()).unwrap();
+        ppa(&db, &engine, &q, &p, &selected, 2, &Ranking::default()).unwrap();
     assert!(answer.is_empty());
 }
 
@@ -249,9 +249,9 @@ fn duplicate_tuples_processed_once() {
     let q = parse_query("select title from MOVIE").unwrap();
     let qc = QueryContext::from_query(db.catalog(), &q).unwrap();
     let selected = fakecrit(&graph, &qc, SelectionCriterion::TopK(3)).unwrap();
-    let mut engine = Engine::new();
+    let engine = engine();
     let (answer, _) =
-        ppa(&db, &mut engine, &q, &p, &selected, 1, &Ranking::default()).unwrap();
+        ppa(&db, &engine, &q, &p, &selected, 1, &Ranking::default()).unwrap();
     let count0 = answer.tuples.iter().filter(|t| t.tuple_id == Some(0)).count();
     assert_eq!(count0, 1);
 }
@@ -265,9 +265,9 @@ fn initial_query_filters_are_preserved() {
     let q = parse_query("select title from MOVIE where year >= 1985").unwrap();
     let qc = QueryContext::from_query(db.catalog(), &q).unwrap();
     let selected = fakecrit(&graph, &qc, SelectionCriterion::TopK(3)).unwrap();
-    let mut engine = Engine::new();
+    let engine = engine();
     let (answer, _) =
-        ppa(&db, &mut engine, &q, &p, &selected, 1, &Ranking::default()).unwrap();
+        ppa(&db, &engine, &q, &p, &selected, 1, &Ranking::default()).unwrap();
     for t in &answer.tuples {
         let mid = t.tuple_id.unwrap() as i64;
         assert!(1970 + 5 * mid >= 1985, "movie {mid} violates the query filter");

@@ -12,7 +12,7 @@ use std::io::{Read, Write};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use qp_client::{wire, Client, DeltaSpec, ErrorCode, Json, PersonalizeCall, Response};
+use qp_client::{wire, Answer, Client, DeltaSpec, ErrorCode, Json, PersonalizeCall, Response};
 use qp_server::testsupport::{als_profile_dsl, fixture_db, quick_config, wait_for, TestServer};
 use qp_server::{assert_server_error, ServerConfig};
 use qp_storage::SnapshotStore;
@@ -244,21 +244,60 @@ fn accept_queue_sheds_connections_over_the_bound() {
     ts.shutdown();
 }
 
+/// One elastic preference: movies "around two hours", peaking at `peak`.
+fn around_two_hours(peak: f64) -> String {
+    format!("doi(MOVIE.duration = around(120, 30)) = (e({peak}), 0)")
+}
+
+/// `user`'s SPA answer to Q1 with K = 1.
+fn spa_answer(client: &mut Client, user: &str) -> Answer {
+    client
+        .personalize(PersonalizeCall::new(user, "select title from MOVIE").k(1).algorithm("spa"))
+        .expect("personalize")
+}
+
+fn top_doi(answer: &Answer) -> f64 {
+    answer.tuples.first().expect("a top tuple").doi
+}
+
+#[test]
+fn a_profile_edit_takes_effect_on_the_same_connection() {
+    // The edit changes only the peak, which the personalized statement
+    // carries as a literal: the connection's plan cache holds the old
+    // statement's plan, and must not answer the new one with it.
+    let mut ts = TestServer::spawn();
+    let mut client = ts.client();
+    client.register_profile("erin", &around_two_hours(0.3)).expect("register");
+    let before = top_doi(&spa_answer(&mut client, "erin"));
+    assert!((before - 0.3).abs() < 1e-9, "top doi {before}");
+    client.register_profile("erin", &around_two_hours(0.9)).expect("re-register");
+    let after = top_doi(&spa_answer(&mut client, "erin"));
+    assert!((after - 0.9).abs() < 1e-9, "the edited profile's degree: {after}");
+    ts.shutdown();
+}
+
+#[test]
+fn users_sharing_a_connection_get_their_own_degrees() {
+    let mut ts = TestServer::spawn();
+    let mut client = ts.client();
+    client.register_profile("ann", &around_two_hours(0.3)).expect("register ann");
+    client.register_profile("ben", &around_two_hours(0.9)).expect("register ben");
+    let ann = spa_answer(&mut client, "ann");
+    assert!((top_doi(&ann) - 0.3).abs() < 1e-9, "ann's top doi {}", top_doi(&ann));
+    let ben = spa_answer(&mut client, "ben");
+    let ben_alone = spa_answer(&mut ts.client(), "ben");
+    assert!((top_doi(&ben) - 0.9).abs() < 1e-9, "ben's top doi {}", top_doi(&ben));
+    assert_eq!(ben.tuples, ben_alone.tuples, "ben's degrees after ann's request");
+    ts.shutdown();
+}
+
 #[test]
 fn a_reused_worker_serves_each_connection_afresh() {
     // A worker outlives its connections; the connection's personalizer
-    // must not. Were it kept, its plan cache would hand the re-registered
-    // profile's query the closure of the old degree.
+    // does not. The statement's text carries the degree, so a kept
+    // personalizer would answer correctly too (see the two tests above);
+    // this test pins that one parked worker serves every connection.
     let mut ts = TestServer::spawn();
-    let line = |peak: f64| format!("doi(MOVIE.duration = around(120, 30)) = (e({peak}), 0)");
-    let top_doi = |client: &mut Client| {
-        let answer = client
-            .personalize(
-                PersonalizeCall::new("dana", "select title from MOVIE").k(1).algorithm("spa"),
-            )
-            .expect("personalize");
-        answer.tuples.first().expect("a top tuple").doi
-    };
     let end = |client: Client| {
         drop(client);
         wait_for(Duration::from_secs(5), "the connection to end", || {
@@ -267,16 +306,15 @@ fn a_reused_worker_serves_each_connection_afresh() {
     };
 
     let mut client = ts.client();
-    client.register_profile("dana", &line(0.3)).expect("register");
-    let before = top_doi(&mut client);
+    client.register_profile("dana", &around_two_hours(0.3)).expect("register");
+    let before = top_doi(&spa_answer(&mut client, "dana"));
     assert!((before - 0.3).abs() < 1e-9, "top doi {before}");
     end(client);
     let mut client = ts.client();
-    client.register_profile("dana", &line(0.9)).expect("re-register");
+    client.register_profile("dana", &around_two_hours(0.9)).expect("re-register");
     end(client);
 
-    let mut fresh = ts.client();
-    let after = top_doi(&mut fresh);
+    let after = top_doi(&spa_answer(&mut ts.client(), "dana"));
     assert!((after - 0.9).abs() < 1e-9, "a fresh connection sees the new degree: {after}");
     assert_eq!(ts.counter("server.workers.spawned"), 1, "one worker served every connection");
     assert_eq!(ts.counter("server.workers.reused"), 2, "the parked worker served this one");

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use personalized_queries::core::{
-    AnswerAlgorithm, CompareOp, Doi, PersonalizationOptions, PersonalizeRequest, Personalizer,
-    Profile, SelectionCriterion,
+    AnswerAlgorithm, CompareOp, Doi, MixedKind, PersonalizationOptions, PersonalizedAnswer,
+    PersonalizeRequest, Personalizer, Profile, Ranking, RankingKind, SelectionCriterion,
 };
 use personalized_queries::datagen::{self, ImdbScale, ProfileSpec};
 use personalized_queries::exec::{Engine, QueryGuard};
@@ -47,6 +47,61 @@ fn caching_personalizer(db: &Database) -> Personalizer<'_> {
     p.set_plan_cache_enabled(true);
     p.set_preference_cache_enabled(true);
     p
+}
+
+/// One preference: movies "around two hours", peaking at `peak`.
+fn around_two_hours(db: &Database, peak: f64) -> Profile {
+    let dsl = format!("doi(MOVIE.duration = around(120, 30)) = (e({peak}), 0)\n");
+    Profile::parse(db.catalog(), &dsl).unwrap()
+}
+
+fn answer(
+    p: &mut Personalizer<'_>,
+    profile: &Profile,
+    options: PersonalizationOptions,
+) -> PersonalizedAnswer {
+    p.run(PersonalizeRequest::sql(profile, SQL).options(options)).unwrap().report.answer
+}
+
+#[test]
+fn one_personalizer_runs_ppa_with_each_users_degrees() {
+    // The two profiles differ only in the peak, which each preference
+    // query carries as a literal: the plan compiled for the first user
+    // cannot answer the second.
+    let db = db();
+    let (ann, ben) = (around_two_hours(&db, 0.3), around_two_hours(&db, 0.9));
+    let mut p = caching_personalizer(&db);
+    let first = answer(&mut p, &ann, ppa_options(1));
+    assert!((first.tuples[0].doi - 0.3).abs() < 1e-9, "ann's top doi {}", first.tuples[0].doi);
+    let got = answer(&mut p, &ben, ppa_options(1));
+    assert!((got.tuples[0].doi - 0.9).abs() < 1e-9, "ben's top doi {}", got.tuples[0].doi);
+    assert_eq!(got, answer(&mut Personalizer::new(&db), &ben, ppa_options(1)));
+}
+
+#[test]
+fn one_personalizer_ranks_each_request_by_its_own_ranking() {
+    // Recent dramas satisfy both preferences, with degrees 0.7 and 0.6:
+    // inflationary 1 − 0.3 · 0.4 = 0.88, dominant max = 0.7.
+    let db = db();
+    let profile = Profile::parse(
+        db.catalog(),
+        "doi(MOVIE.year >= 2000) = (0.7, 0)\n\
+         doi(GENRE.genre = 'drama') = (0.6, 0)\n\
+         doi(MOVIE.mid = GENRE.mid) = (1)\n",
+    )
+    .unwrap();
+    let spa = |kind| PersonalizationOptions {
+        criterion: SelectionCriterion::TopK(2),
+        l: 2,
+        algorithm: AnswerAlgorithm::Spa,
+        ranking: Ranking::new(kind, MixedKind::CountWeighted),
+        ..Default::default()
+    };
+    let mut p = caching_personalizer(&db);
+    let inflationary = answer(&mut p, &profile, spa(RankingKind::Inflationary));
+    assert!((inflationary.tuples[0].doi - 0.88).abs() < 1e-9, "{}", inflationary.tuples[0].doi);
+    let dominant = answer(&mut p, &profile, spa(RankingKind::Dominant));
+    assert!((dominant.tuples[0].doi - 0.7).abs() < 1e-9, "dominant: {}", dominant.tuples[0].doi);
 }
 
 #[test]

@@ -7,7 +7,7 @@ use personalized_queries::core::select::{fakecrit::fakecrit, QueryContext, Selec
 use personalized_queries::core::{
     skyline, MixedKind, PersonalizationGraph, Profile, Ranking, RankingKind,
 };
-use personalized_queries::exec::Engine;
+use personalized_queries::core::engine;
 use personalized_queries::sql::parse_query;
 use personalized_queries::storage::{Attribute, DataType, Database, Value};
 
@@ -45,15 +45,13 @@ fn tiny_db() -> Database {
     db
 }
 
+const PROFILE: &str = "doi(GENRE.genre = 'comedy') = (0.8, 0)\n\
+                       doi(GENRE.genre = 'musical') = (-0.6, 0)\n\
+                       doi(MOVIE.year >= 2000) = (0.5, 0)\n\
+                       doi(MOVIE.mid = GENRE.mid) = (0.9)\n";
+
 fn profile(db: &Database) -> Profile {
-    Profile::parse(
-        db.catalog(),
-        "doi(GENRE.genre = 'comedy') = (0.8, 0)\n\
-         doi(GENRE.genre = 'musical') = (-0.6, 0)\n\
-         doi(MOVIE.year >= 2000) = (0.5, 0)\n\
-         doi(MOVIE.mid = GENRE.mid) = (0.9)\n",
-    )
-    .unwrap()
+    Profile::parse(db.catalog(), PROFILE).unwrap()
 }
 
 fn selected(
@@ -79,8 +77,8 @@ fn spa_membership_matches_ground_truth() {
     let sel = selected(&db, &p);
     let q = parse_query("select title from MOVIE").unwrap();
     for l in 1..=3usize {
-        let mut engine = Engine::new();
-        let answer = spa(&db, &mut engine, &q, &p, &sel, l, &Ranking::default()).unwrap();
+        let engine = engine();
+        let answer = spa(&db, &engine, &q, &p, &sel, l, &Ranking::default()).unwrap();
         let got: std::collections::BTreeSet<String> =
             answer.tuples.iter().map(|t| t.row[0].to_string()).collect();
         let expect: std::collections::BTreeSet<String> = (0..10)
@@ -100,10 +98,10 @@ fn spa_scores_use_positive_combination_only() {
     let p = profile(&db);
     let sel = selected(&db, &p);
     let q = parse_query("select title from MOVIE").unwrap();
-    let mut engine = Engine::new();
+    let engine = engine();
     let answer = spa(
         &db,
-        &mut engine,
+        &engine,
         &q,
         &p,
         &sel,
@@ -138,23 +136,37 @@ fn spa_scores_use_positive_combination_only() {
 #[test]
 fn spa_statement_round_trips_and_is_self_contained() {
     let db = tiny_db();
-    let p = profile(&db);
-    let sel = selected(&db, &p);
+    // An elastic preference too, so the statement carries a per-tuple
+    // degree as well as the ranking aggregate.
+    let dsl = format!("{PROFILE}doi(MOVIE.year = around(1995, 15)) = (e(0.7), 0)\n");
+    let p = Profile::parse(db.catalog(), &dsl).unwrap();
+    let graph = PersonalizationGraph::build(&p);
     let q = parse_query("select title from MOVIE").unwrap();
-    let mut engine = Engine::new();
-    let built = build_spa_query(&db, &mut engine, &q, &p, &sel, 2).unwrap();
+    let qc = QueryContext::from_query(db.catalog(), &q).unwrap();
+    let sel = fakecrit(&graph, &qc, SelectionCriterion::TopK(4)).unwrap();
+    let ranking = Ranking::new(RankingKind::Reserved, MixedKind::CountWeighted);
+    let built = build_spa_query(&db, &q, &p, &sel, 2, &ranking).unwrap();
     let sql = built.to_string();
+    assert!(sql.contains("qp_doi(") && sql.contains("qp_rank_reserved("), "{sql}");
     // one statement, parses back identically
     assert_eq!(qp_sql_parse(&sql), built);
-    // and executing the SQL *text* (after registering the rank UDF) gives
-    // the same rows as the API call
-    personalized_queries::core::answer::spa::register_rank_udf(
-        &mut engine,
-        RankingKind::Inflationary,
-    );
-    let via_text = engine.execute_sql(&db, &sql).unwrap();
-    let via_api = spa(&db, &mut engine, &q, &p, &sel, 2, &Ranking::default()).unwrap();
-    assert_eq!(via_text.len(), via_api.len());
+    // and the SQL *text*, executed by another engine from the same
+    // constructor with nothing registered on it, gives the API's rows and
+    // scores bit for bit
+    let via_api = spa(&db, &engine(), &q, &p, &sel, 2, &ranking).unwrap();
+    let via_text = engine().execute_sql(&db, &sql).unwrap();
+    assert!(!via_api.tuples.is_empty());
+    let api: Vec<(Vec<Value>, u64)> =
+        via_api.tuples.iter().map(|t| (t.row.clone(), t.doi.to_bits())).collect();
+    let text: Vec<(Vec<Value>, u64)> = via_text
+        .rows
+        .iter()
+        .map(|r| {
+            let (score, row) = r.split_last().unwrap();
+            (row.to_vec(), score.as_f64().unwrap().to_bits())
+        })
+        .collect();
+    assert_eq!(text, api);
 }
 
 fn qp_sql_parse(sql: &str) -> personalized_queries::sql::Query {
@@ -167,8 +179,8 @@ fn spa_multi_column_projection() {
     let p = profile(&db);
     let sel = selected(&db, &p);
     let q = parse_query("select title, year from MOVIE").unwrap();
-    let mut engine = Engine::new();
-    let answer = spa(&db, &mut engine, &q, &p, &sel, 1, &Ranking::default()).unwrap();
+    let engine = engine();
+    let answer = spa(&db, &engine, &q, &p, &sel, 1, &Ranking::default()).unwrap();
     assert_eq!(answer.columns, vec!["title", "year"]);
     for t in &answer.tuples {
         assert_eq!(t.row.len(), 2);
@@ -182,10 +194,9 @@ fn ppa_limited_stops_early_with_correct_prefix() {
     let sel = selected(&db, &p);
     let q = parse_query("select title from MOVIE").unwrap();
     let ranking = Ranking::default();
-    let mut engine = Engine::new();
-    let (full, _) = ppa_limited(&db, &mut engine, &q, &p, &sel, 1, &ranking, None).unwrap();
-    let mut engine = Engine::new();
-    let (top3, _) = ppa_limited(&db, &mut engine, &q, &p, &sel, 1, &ranking, Some(3)).unwrap();
+    let engine = engine();
+    let (full, _) = ppa_limited(&db, &engine, &q, &p, &sel, 1, &ranking, None).unwrap();
+    let (top3, _) = ppa_limited(&db, &engine, &q, &p, &sel, 1, &ranking, Some(3)).unwrap();
     assert_eq!(top3.len(), 3);
     // the limited run emits exactly the full run's prefix
     for (a, b) in top3.tuples.iter().zip(&full.tuples) {
@@ -200,9 +211,9 @@ fn skyline_of_personalized_answer() {
     let p = profile(&db);
     let sel = selected(&db, &p);
     let q = parse_query("select title from MOVIE").unwrap();
-    let mut engine = Engine::new();
+    let engine = engine();
     let (answer, _) =
-        personalized_queries::core::answer::ppa::ppa(&db, &mut engine, &q, &p, &sel, 1, &Ranking::default())
+        personalized_queries::core::answer::ppa::ppa(&db, &engine, &q, &p, &sel, 1, &Ranking::default())
             .unwrap();
     let sky = skyline(&answer, &sel, &p);
     assert!(!sky.is_empty());
